@@ -64,13 +64,14 @@ class BenchSink final : public Node {
 };
 
 /// Bursty wire delivery — the shape that separates the two schedulers.
-/// Each round hands the channel a back-to-back burst; the plain heap holds
-/// one entry per in-flight packet (every pop sifts across the burst), the
-/// lane holds the head only.  Same (t, seq) stream either way, so the two
-/// runs process identical event counts.
+/// Each round hands a 100 Gbps, 1 us wire a back-to-back burst.  With
+/// `lanes` the Channel parks the burst in its delivery lane and keeps only
+/// the head in the heap; the reference instead schedules one heap event
+/// per packet straight into the sink, so every pop sifts across the
+/// burst.  Same (t, seq) stream either way, so both runs process
+/// identical event counts.
 CorePerf micro_lane_burst(bool lanes, int rounds, int burst) {
   Simulator sim;
-  sim.set_use_lanes(lanes);
   Logger log(LogLevel::kOff);
   BenchSink sink(sim, log);
   Channel ch(sim, Bandwidth::gbps(100), microseconds(1));
@@ -84,7 +85,15 @@ CorePerf micro_lane_burst(bool lanes, int rounds, int burst) {
       p.type = PktType::kData;
       p.wire_bytes = 1000;
       p.payload_bytes = 1000;
-      ch.deliver(p, static_cast<Time>(i + 1) * ser);
+      const Time extra = static_cast<Time>(i + 1) * ser;
+      if (lanes) {
+        ch.deliver(p, extra);
+      } else {
+        sim.schedule_at(sim.now() + extra + ch.propagation(),
+                        [&sink, pkt = PacketPtr::make(p)]() mutable {
+                          sink.receive(std::move(pkt), 0);
+                        });
+      }
     }
     sim.run();
   }
@@ -99,13 +108,10 @@ CorePerf micro_lane_burst(bool lanes, int rounds, int burst) {
 /// ingress wire feeds one egress port, so the data queue builds past the
 /// (shallow) trim threshold and every receive outcome runs: classification,
 /// ECMP-cache hit, data enqueue, trim-to-HO, control-queue enqueue, and
-/// over-threshold ACK drop.  With `devirt` the channel static-dispatches
-/// into Switch::receive_fast; without it every arrival takes the virtual
-/// Node::receive hop.  The (t, seq) stream is identical either way, so the
-/// two runs process the same event count and the ratio is the dispatch win.
-CorePerf micro_switch_receive(bool devirt, int rounds, int burst) {
+/// over-threshold ACK drop.  The channel static-dispatches every arrival
+/// into Switch::receive_fast.
+CorePerf micro_switch_receive(int rounds, int burst) {
   Simulator sim;
-  sim.set_use_devirt(devirt);
   Logger log(LogLevel::kOff);
   BenchSink sink(sim, log);
 
@@ -455,10 +461,8 @@ int run_check(const char* json_path) {
   // note) against committed files that predate the entry.
   const double sw_committed = json_metric(ss.str(), "micro_switch_receive", "events_per_sec");
   if (sw_committed > 0.0) {
-    CorePerf sw = micro_switch_receive(/*devirt=*/true, /*rounds=*/1500, /*burst=*/512);
-    for (int i = 1; i < 3; ++i) {
-      sw = min_wall(sw, micro_switch_receive(/*devirt=*/true, 1500, 512));
-    }
+    CorePerf sw = micro_switch_receive(/*rounds=*/1500, /*burst=*/512);
+    for (int i = 1; i < 3; ++i) sw = min_wall(sw, micro_switch_receive(1500, 512));
     const double sw_floor = 0.70 * sw_committed;
     const double sw_got = sw.events_per_sec();
     std::printf("perf-check micro_switch_receive: fresh %.3gM ev/s vs committed %.3gM "
@@ -516,18 +520,22 @@ int main(int argc, char** argv) {
   std::vector<CorePerfEntry> entries;
   entries.push_back({"micro_event_queue_push_pop_1M", micro_event_churn(1'000'000),
                      kSeedMicroEventsPerSec});
-  // Lane scheduler vs plain heap on the bursty-wire microbenchmark: the
-  // entry's perf is the lanes-on run; the "seed" column carries the plain
-  // heap on the identical event stream, so speedup_vs_seed is the lane win.
-  const CorePerf lane_on = micro_lane_burst(/*lanes=*/true, /*rounds=*/2000, /*burst=*/512);
-  const CorePerf lane_off = micro_lane_burst(/*lanes=*/false, 2000, 512);
-  entries.push_back({"micro_lane_vs_heap", lane_on, lane_off.events_per_sec()});
-  // Static vs virtual dispatch on the single-switch datapath: the entry's
-  // perf is the devirtualized run; the "seed" column carries the virtual-hop
-  // run of the identical stream, so speedup_vs_seed is the dispatch win.
-  const CorePerf swrecv_on = micro_switch_receive(/*devirt=*/true, /*rounds=*/1500, /*burst=*/512);
-  const CorePerf swrecv_off = micro_switch_receive(/*devirt=*/false, 1500, 512);
-  entries.push_back({"micro_switch_receive", swrecv_on, swrecv_off.events_per_sec()});
+  // Lane scheduler vs one heap event per packet on the bursty-wire
+  // microbenchmark: the entry's perf is the lane run; the "seed" column
+  // carries the per-packet reference on the identical event stream, so
+  // speedup_vs_seed is the lane win.
+  const CorePerf lane = micro_lane_burst(/*lanes=*/true, /*rounds=*/2000, /*burst=*/512);
+  const CorePerf heap = micro_lane_burst(/*lanes=*/false, 2000, 512);
+  if (lane.events_processed != heap.events_processed) {
+    std::fprintf(stderr, "micro_lane_vs_heap: event counts differ (%llu vs %llu)\n",
+                 static_cast<unsigned long long>(lane.events_processed),
+                 static_cast<unsigned long long>(heap.events_processed));
+    return 1;
+  }
+  entries.push_back({"micro_lane_vs_heap", lane, heap.events_per_sec()});
+  // The single-switch datapath; no seed column.
+  entries.push_back({"micro_switch_receive", micro_switch_receive(/*rounds=*/1500, /*burst=*/512),
+                     0.0});
   // FEC codec at the default (8, 2) and the widest swept (16, 4) geometry;
   // no seed column (the coder is new with the FEC tier).
   entries.push_back({"micro_fec_codec_8_2", micro_fec_codec(8, 2, 20000), 0.0});

@@ -18,9 +18,9 @@
 // destructor detaches every hook it installed.
 //
 // Interaction with the two-level scheduler (net/lane.h): none of the hooks
-// touch the simulator heap.  Rate faults draw at the far end when a lane
-// record fires, exactly where the plain path would have drawn, so the RNG
-// stream consumption is identical.  A drop-in-flight link cut is an O(1)
+// touch the simulator heap.  Rate faults draw when a frame is handed to
+// the wire, before any lane record exists, so a dropped frame consumes no
+// event sequence number.  A drop-in-flight link cut is an O(1)
 // epoch bump on the channel: records already parked in the lane are doomed
 // *lazily* — they stay in the FIFO, surface at their stamped (t, seq), and
 // only then account as in_flight_dropped.  Between the cut and the last
@@ -83,8 +83,8 @@ class FaultInjector {
 
   /// Lane records doomed by a drop-in-flight cut but not yet surfaced —
   /// in-flight losses the lane scheduler has committed to but not yet
-  /// accounted (always 0 on the plain path, and again 0 once simulated
-  /// time passes the last pre-cut arrival stamp).
+  /// accounted (0 again once simulated time passes the last pre-cut
+  /// arrival stamp).
   std::size_t doomed_in_lanes() const;
 
  private:

@@ -27,10 +27,10 @@ class Host final : public Node {
   void connect(Node* sw, std::uint32_t sw_port) { nic_.channel().connect(sw, sw_port); }
 
   using Node::receive;
-  /// Virtual path (DCP_DEVIRT=0 / custom callers): same body as the
-  /// statically-dispatched entry, so outputs are bit-identical.
+  /// Virtual entry for callers holding a Node* (tests, tools); the
+  /// datapath reaches receive_fast directly.
   void receive(PacketPtr pkt, std::uint32_t in_port) override { receive_fast(std::move(pkt), in_port); }
-  /// Statically-dispatched delivery entry (Channel::dispatch_receive casts
+  /// Statically-dispatched delivery entry (Channel::arrive casts
   /// to the final type and calls this non-virtually).  Gathers the flat
   /// packet once — the cold record's only read on the delivery path — and
   /// hands it to the transport state machines by value.
@@ -84,12 +84,9 @@ class Host final : public Node {
   /// Barrier: commit provisional stamps (window remap hook).
   void remap_stat_journal(const SeqRemap& remap);
   /// Barrier, after finalizations: drop entries no future finalize can
-  /// key into.  Under adaptive windows effects past the commit frontier
-  /// stay deferred, so every snapshot with t > frontier is kept along with
-  /// each flow's latest entry at or below it (any later finalize key is
-  /// strictly above the frontier).  kTimeInfinity reduces to "latest per
-  /// flow".
-  void prune_stat_journal(Time frontier);
+  /// key into.  Every later finalize key lies in a later window, so only
+  /// each flow's latest entry is kept.
+  void prune_stat_journal();
 
  private:
   RnicScheduler nic_;

@@ -14,8 +14,8 @@
 namespace dcp {
 
 /// Concrete datapath type of a Node, cached by Channel at connect() time
-/// so delivery can static-dispatch to Switch/Host::receive_fast instead of
-/// the virtual hop (kOther — test sinks, tools — keeps the virtual path).
+/// so delivery static-dispatches to Switch/Host::receive_fast; only kOther
+/// endpoints (test sinks, tools) are reached through the virtual receive.
 enum class NodeKind : std::uint8_t { kOther = 0, kHost = 1, kSwitch = 2 };
 
 class Node {

@@ -33,9 +33,7 @@ ShardGroup::ShardGroup(int n) {
   logs_.resize(sims_.size());
   committed_.resize(sims_.size());
   cross_drains_.resize(sims_.size());
-  bounds_.resize(sims_.size(), 0);
   dispatch_.resize(sims_.size(), 0);
-  tn_scratch_.resize(sims_.size(), 0);
   if (sharded()) {
     // One sequence space: setup-phase allocations interleave across shard
     // queues exactly as a single serial queue would hand them out.
@@ -84,7 +82,7 @@ void ShardGroup::worker_loop(std::size_t i) {
     seen = cur;
     if (exit_.load(std::memory_order_relaxed)) return;
     const std::uint64_t t0 = wall_ns();
-    sims_[i]->run(bounds_[i]);
+    sims_[i]->run(bound_);
     slot.busy_ns += wall_ns() - t0;
     slot.windows += 1;
     slot.arena_bytes = local_pool_arena_bytes();
@@ -135,27 +133,10 @@ std::uint64_t ShardGroup::arena_bytes() const {
   return total;
 }
 
-void ShardGroup::run_window(Time bound) {
-  if (!sharded()) {
-    sims_[0]->run(bound);
-    return;
-  }
-  assert(lookahead_ > 0 && "set_lookahead() before sharded windows");
-  start_workers();
-  // Uniform window: every shard runs to `bound` (the legacy entry keeps
-  // its exact semantics — clocks advance to the bound even on idle
-  // shards, which tests rely on).
-  for (std::size_t i = 0; i < sims_.size(); ++i) {
-    bounds_[i] = bound;
-    dispatch_[i] = 1;
-  }
-  run_marked_window();
-}
-
-Time ShardGroup::run_window_adaptive(Time cap) {
+void ShardGroup::run_window_adaptive(Time cap) {
   if (!sharded()) {
     sims_[0]->run(cap);
-    return cap;
+    return;
   }
   assert(lookahead_ > 0 && "set_lookahead() before sharded windows");
   start_workers();
@@ -163,36 +144,19 @@ Time ShardGroup::run_window_adaptive(Time cap) {
   const Time ahead = std::max<Time>(1, lookahead_ >> window_shift_);
 
   // One uniform bound for every shard, opening at the globally earliest
-  // pending event.  The bound must be uniform: commit_window() hands out
-  // committed sequence numbers window by window, so seqs are globally
-  // ordered by window index — serial (time, parent) order holds only if no
-  // shard allocates at a time another shard has yet to reach.  Per-shard
-  // bounds (letting the earliest shard race ahead of the rest) commit its
-  // beyond-frontier allocations a window early, and a same-time tie
-  // against a slower shard's later-committed event then breaks the wrong
-  // way.  Adaptivity lives in the window LENGTH (`ahead`, shrunk under
+  // pending event (see the file header for why it must be uniform).
+  // Adaptivity lives in the window LENGTH (`ahead`, shrunk under
   // cross-shard pressure) and in dispatch: shards with nothing due in the
   // window are not dispatched — their workers stay parked on the futex and
   // they skip window entry, the commit merge, and mailbox drains.
-  Time min1 = kTimeInfinity;
+  const Time min1 = next_time();
+  bound_ = min1 >= cap ? cap : std::min(cap, min1 + ahead - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const Time t = sims_[i]->next_event_time();
-    tn_scratch_[i] = t;
-    if (t < min1) min1 = t;
+    dispatch_[i] = sims_[i]->next_event_time() <= bound_ ? 1 : 0;
   }
-  const Time bound = min1 >= cap ? cap : std::min(cap, min1 + ahead - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    bounds_[i] = bound;
-    dispatch_[i] = tn_scratch_[i] <= bound ? 1 : 0;
-  }
-  run_marked_window();
-  // Dispatched shards ran exactly to the bound and parked shards had
-  // nothing below it, so every barrier effect this window is final.
-  return bound;
-}
 
-void ShardGroup::run_marked_window() {
-  const std::size_t n = sims_.size();
+  // Dispatch the marked shards, run shard 0 inline, wait for the done
+  // barrier, then merge logs and drain mailboxes.
   ++windows_;
   for (std::size_t i = 0; i < n; ++i) {
     if (dispatch_[i] == 0) continue;
@@ -210,7 +174,7 @@ void ShardGroup::run_marked_window() {
   }
   if (dispatch_[0] != 0) {
     const std::uint64_t t0 = wall_ns();
-    sims_[0]->run(bounds_[0]);
+    sims_[0]->run(bound_);
     busy0_ns_ += wall_ns() - t0;
     ++windows0_;
   }

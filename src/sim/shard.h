@@ -9,18 +9,20 @@
 // the cut arrives at send-time + L at the earliest, i.e. strictly after
 // the window, so no shard can receive an event it should already have run.
 //
-// Adaptive windows (run_window_adaptive): the bound is computed PER SHARD
-// as min(cap, min over other shards' next-event time + A - 1), with
-// A <= L an effective lookahead the group shrinks under cross-shard
-// mailbox pressure and grows back when windows run light.  The per-shard
-// form is safe by the same argument — anything shard j can still send
-// arrives at >= next_j + L > bound_i — and lets a shard whose peers are
-// idle run all the way to the slice boundary instead of re-barriering
-// every L.  Shards with no event inside their bound are not dispatched at
-// all (their worker stays parked), and the call returns the commit
-// FRONTIER min_i(bound_i): every event at or below it has executed on
-// every shard, so barrier effects up to the frontier are final while
-// later ones must be deferred (see Network::commit_window_effects).
+// Adaptive windows (run_window_adaptive): every window has ONE bound,
+// min(cap, globally earliest next-event time + A - 1), shared by all
+// shards, with A <= L an effective lookahead the group shrinks under
+// cross-shard mailbox pressure and grows back when windows run light.
+// Opening at the global minimum crosses an idle stretch in one window
+// instead of one barrier per L.  The bound must be uniform: committed
+// sequences are handed out window by window, so the serial (time, parent)
+// order holds only if no shard allocates at a time another shard has yet
+// to reach — a shard racing ahead would commit its later allocations a
+// window early and break same-time ties the wrong way.  Shards with no
+// event inside the bound are not dispatched at all (their worker stays
+// parked).  After the barrier every event at or below the bound has run
+// on every shard, so all of the window's barrier effects are final (see
+// Network::commit_window_effects).
 //
 // Determinism: all shards draw setup-phase tie-break sequences from ONE
 // shared counter, so topology construction is bit-identical to the serial
@@ -70,7 +72,7 @@ class ShardGroup {
   const Simulator& sim(int i) const { return *sims_[static_cast<std::size_t>(i)]; }
 
   /// Conservative lookahead (min cut-channel propagation); must be set
-  /// (> 0) before the first run_window() of a sharded run.
+  /// (> 0) before the first window of a sharded run.
   void set_lookahead(Time l) { lookahead_ = l; }
   Time lookahead() const { return lookahead_; }
 
@@ -93,19 +95,15 @@ class ShardGroup {
   /// Advances every shard's clock to a slice boundary (no events run).
   void sync_now(Time t);
 
-  /// Runs every shard to `bound` (inclusive) in parallel, then commits the
-  /// window: merge allocation logs -> committed sequences -> heap rewrite
-  /// -> component remap hooks -> cut-channel mailbox drains.
-  void run_window(Time bound);
-
-  /// Adaptive window (see file header): per-shard bounds capped at `cap`,
-  /// idle shards skipped.  Returns the commit frontier — the time up to
-  /// which every shard is known to have executed everything, i.e. how far
-  /// barrier effects may be applied.
-  Time run_window_adaptive(Time cap);
+  /// Runs one window (see file header): every shard with work executes to
+  /// the uniform bound (inclusive, never beyond `cap`) in parallel, idle
+  /// shards stay parked, then the window commits: merge allocation logs ->
+  /// committed sequences -> heap rewrite -> component remap hooks ->
+  /// cut-channel mailbox drains.  An unsharded group just runs to `cap`.
+  void run_window_adaptive(Time cap);
 
   // ---- Instrumentation (read between windows, coordinator thread) -------
-  /// Windows committed (either entry point).
+  /// Windows committed.
   std::uint64_t windows() const { return windows_; }
   /// Windows in which shard `i` actually ran events.
   std::uint64_t shard_windows(int i) const;
@@ -139,9 +137,6 @@ class ShardGroup {
 
   void start_workers();
   void worker_loop(std::size_t i);
-  /// Dispatches the marked shards at bounds_[], runs shard 0 inline, waits
-  /// for the done barrier, then merges logs and drains mailboxes.
-  void run_marked_window();
   void commit_window();
 
   std::vector<std::unique_ptr<Simulator>> sims_;
@@ -152,9 +147,8 @@ class ShardGroup {
   std::vector<std::vector<std::function<std::size_t(const SeqRemap&)>>> cross_drains_;
 
   // Window plan, coordinator-written before dispatch.
-  std::vector<Time> bounds_;
-  std::vector<char> dispatch_;  // shard has work inside its bound
-  std::vector<Time> tn_scratch_;
+  Time bound_ = 0;
+  std::vector<char> dispatch_;  // shard has work inside the bound
 
   // Adaptive state.
   int window_shift_ = 0;                  // effective lookahead = L >> shift

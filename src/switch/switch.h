@@ -131,11 +131,11 @@ class Switch final : public Node {
   void checkpoint(StateIO& io);
 
   using Node::receive;
-  /// Virtual path (DCP_DEVIRT=0 / custom callers): same body as the
-  /// statically-dispatched entry below, so outputs are bit-identical.
+  /// Virtual entry for callers holding a Node* (tests, tools); the
+  /// datapath reaches receive_fast directly.
   void receive(PacketPtr pkt, std::uint32_t in_port) override { receive_fast(std::move(pkt), in_port); }
 
-  /// Statically-dispatched delivery entry (Channel::dispatch_receive casts
+  /// Statically-dispatched delivery entry (Channel::arrive casts
   /// to the final type and calls this non-virtually).  Header-visible so
   /// per-packet classification and the ECMP cache hit inline into the
   /// channel's arrival; the rare outcomes — cache miss, PFC frame,

@@ -176,12 +176,10 @@ class Network {
   void finalize_shards();
   void run_to_sharded(Time t);
   Time run_to_paused_sharded(Time t, Time max_time);
-  /// Barrier step: finalize pending flows in serial order, fire deferred
-  /// rx listeners, prune journals.  Only effects at or below `frontier`
-  /// (the group's commit frontier — every shard has executed everything up
-  /// to it) are applied; later ones stay pending so cross-barrier listener
-  /// order matches the serial run exactly.
-  void commit_window_effects(Time frontier);
+  /// Barrier step, after every window: finalize the window's pending flows
+  /// and fire its deferred rx listeners in committed (t, seq) order — the
+  /// serial run's order — then prune journals.
+  void commit_window_effects();
   void run_until_done_sharded(Time max_time);
   void finalize_flow_at(const PendingFinalize& p);
 

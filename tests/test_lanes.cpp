@@ -1,50 +1,26 @@
-// The two-level scheduler: delivery lanes, deadline-class timers and far
-// events must reproduce the plain one-heap-entry-per-packet schedule BIT
-// FOR BIT.  Mechanism tests pin down lane FIFO order, same-time
-// coalescing, lazy dooming on mid-flight cuts and the deadline heap's lazy
-// extend/cancel; the digest suites then prove equality end-to-end across
-// the Fig 1/10/17 experiment shapes and a 200-seed fuzz batch, with the
-// DCP_LANES=0 escape hatch selecting the plain path.
+// Channel delivery: the two-level scheduler (delivery lanes, deadline-
+// class timers, far events) and endpoint dispatch.  Mechanism tests pin
+// down lane FIFO order, same-time coalescing, lazy dooming on mid-flight
+// cuts, the deadline heap's lazy extend/cancel, and the {kind, ptr}
+// static dispatch with its virtual fallback for custom nodes.  End-to-end
+// behaviour is pinned by the golden-digest corpus (test_golden.cpp).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "check/fuzzer.h"
-#include "harness/experiment.h"
-#include "harness/sweep.h"
+#include "check/observer.h"
 #include "net/channel.h"
 #include "net/node.h"
 #include "net/packet.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim/snapshot.h"
+#include "switch/switch.h"
 
 namespace dcp {
 namespace {
-
-/// Scoped DCP_LANES override: Simulator reads the variable at construction,
-/// so set it before building the fixture / running the experiment.
-class ScopedLanesEnv {
- public:
-  explicit ScopedLanesEnv(bool lanes_on) {
-    const char* prev = std::getenv("DCP_LANES");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    setenv("DCP_LANES", lanes_on ? "1" : "0", 1);
-  }
-  ~ScopedLanesEnv() {
-    if (had_prev_) {
-      setenv("DCP_LANES", prev_.c_str(), 1);
-    } else {
-      unsetenv("DCP_LANES");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 class SinkNode final : public Node {
  public:
@@ -74,6 +50,17 @@ struct LaneFixture {
   Logger log{LogLevel::kOff};
 };
 
+/// Records the drop sites a simulator's check observer is told about.
+class DropRecorder final : public CheckObserver {
+ public:
+  void on_drop(DropSite site, NodeId node, const Packet& pkt) override {
+    (void)node;
+    (void)pkt;
+    sites.push_back(site);
+  }
+  std::vector<DropSite> sites;
+};
+
 // ---------------------------------------------------------------------------
 // Lane mechanics
 // ---------------------------------------------------------------------------
@@ -84,7 +71,6 @@ TEST(Lane, BackToBackMtuOnSaturatedLink) {
   // serializing (extra == serialization, gap zero).  All three must arrive,
   // in order, spaced exactly one serialization time apart.
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
   ch.connect(&sink, 3);
@@ -112,7 +98,6 @@ TEST(Lane, BackToBackMtuOnSaturatedLink) {
 
 TEST(Lane, HoldsFifoWithOnlyHeadInHeap) {
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(5));
   ch.connect(&sink, 0);
@@ -136,39 +121,31 @@ TEST(Lane, HoldsFifoWithOnlyHeadInHeap) {
 }
 
 TEST(Lane, SameTimeDeliveriesCoalesceInIssueOrder) {
-  // Two wires funneling into one sink with identical delivery instants:
-  // arrivals keep issue order, and the lane path charges exactly as many
-  // events as the plain path would have popped.
-  auto run = [](bool lanes) {
-    LaneFixture f;
-    f.sim.set_use_lanes(lanes);
-    SinkNode sink(f.sim, f.log);
-    Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
-    ch.connect(&sink, 0);
-    for (int i = 0; i < 3; ++i) {
-      Packet p = data_packet(64);
-      p.psn = static_cast<std::uint32_t>(i);
-      ch.deliver(p, 0);  // all three arrive at exactly propagation time
-    }
-    f.sim.run();
-    std::vector<std::uint32_t> psns;
-    for (const auto& a : sink.arrivals) {
-      EXPECT_EQ(a.t, microseconds(1));
-      psns.push_back(a.pkt.psn);
-    }
-    return std::pair<std::vector<std::uint32_t>, std::uint64_t>(psns, f.sim.events_processed());
-  };
-  const auto lanes_on = run(true);
-  const auto lanes_off = run(false);
-  EXPECT_EQ(lanes_on.first, (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(lanes_on, lanes_off);
+  // Three deliveries due at the same instant: arrivals keep issue order,
+  // and the coalesced run still charges one event per delivery.
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  for (int i = 0; i < 3; ++i) {
+    Packet p = data_packet(64);
+    p.psn = static_cast<std::uint32_t>(i);
+    ch.deliver(p, 0);  // all three arrive at exactly propagation time
+  }
+  f.sim.run();
+  std::vector<std::uint32_t> psns;
+  for (const auto& a : sink.arrivals) {
+    EXPECT_EQ(a.t, microseconds(1));
+    psns.push_back(a.pkt.psn);
+  }
+  EXPECT_EQ(psns, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(f.sim.events_processed(), 3u);
 }
 
 TEST(Lane, MidFlightCutDoomsLazily) {
   // Drop-in-flight cut: O(1) epoch bump, no heap surgery.  Parked records
   // are doomed lazily and account as in-flight losses when they surface.
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
   ch.connect(&sink, 0);
@@ -183,8 +160,8 @@ TEST(Lane, MidFlightCutDoomsLazily) {
 
   f.sim.run();
   EXPECT_TRUE(sink.arrivals.empty());
-  // delivered_packets counts wire hand-off at deliver() time (same as the
-  // plain path); the mid-flight kills show up only as in_flight_dropped.
+  // delivered_packets counts wire hand-off at deliver() time; the
+  // mid-flight kills show up only as in_flight_dropped.
   EXPECT_EQ(ch.delivered_packets(), 2u);
   EXPECT_EQ(ch.in_flight_dropped(), 2u);
   EXPECT_EQ(ch.lane_pending(), 0u);
@@ -195,7 +172,6 @@ TEST(Lane, DefaultCutPolicyDeliversInFlight) {
   // PR 3's cut semantics through the lane path: without drop-in-flight the
   // photons past the cut still arrive; only subsequent traffic is lost.
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
   ch.connect(&sink, 0);
@@ -208,6 +184,143 @@ TEST(Lane, DefaultCutPolicyDeliversInFlight) {
   EXPECT_EQ(ch.delivered_packets(), 1u);
   EXPECT_EQ(ch.in_flight_dropped(), 0u);
   EXPECT_EQ(ch.discarded_packets(), 1u);
+}
+
+TEST(Lane, OutOfBandFrameOvertakesTheBacklog) {
+  // An earlier-due frame handed to a busy lane (a PFC PAUSE jumping the
+  // data backlog) becomes the new head; one landing between parked frames
+  // is spliced in after every frame due no later than it.
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  const Time ser = ch.serialization(1000);
+  const std::uint32_t extras[] = {2, 4, 0, 3, 2};  // in units of ser
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    Packet p = data_packet(1000);
+    p.psn = i;
+    ch.deliver(p, extras[i] * ser);
+  }
+  EXPECT_EQ(ch.lane_pending(), 5u);
+  f.sim.run();
+
+  ASSERT_EQ(sink.arrivals.size(), 5u);
+  const std::uint32_t order[] = {2, 0, 4, 3, 1};
+  for (std::size_t i = 0; i < 5; ++i) {
+    const std::uint32_t psn = order[i];
+    EXPECT_EQ(sink.arrivals[i].pkt.psn, psn);
+    EXPECT_EQ(sink.arrivals[i].t, extras[psn] * ser + microseconds(1));
+  }
+  EXPECT_EQ(f.sim.events_processed(), 5u);
+}
+
+TEST(Lane, CorruptFrameConsumesTheWireAndDiesAtTheFarEnd) {
+  // A corrupt draw is made at hand-off, but the frame still occupies the
+  // wire: it counts as delivered and fails CRC only when it arrives.
+  LaneFixture f;
+  DropRecorder drops;
+  f.sim.set_check_observer(&drops);
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  Rng rng(7);
+  ChannelFault fault;
+  fault.corrupt_rate = 1.0;
+  fault.rng = &rng;
+  ch.set_fault(&fault);
+
+  for (int i = 0; i < 3; ++i) ch.deliver(data_packet(1000), 0);
+  EXPECT_EQ(ch.lane_pending(), 3u);
+  EXPECT_TRUE(drops.sites.empty());
+  f.sim.run();
+
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(ch.delivered_packets(), 3u);
+  EXPECT_EQ(ch.discarded_packets(), 0u);
+  EXPECT_EQ(fault.corrupted, 3u);
+  EXPECT_EQ(drops.sites, std::vector<DropSite>(3, DropSite::kWireCorrupt));
+  EXPECT_EQ(f.sim.events_processed(), 3u);
+}
+
+TEST(Lane, HandOffDropsNeverReachTheWire) {
+  // A downed wire, a blackhole and a random wire loss all discard the
+  // frame at deliver() time: nothing is parked and nothing fires.
+  LaneFixture f;
+  DropRecorder drops;
+  f.sim.set_check_observer(&drops);
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  Rng rng(7);
+  ChannelFault fault;
+  fault.rng = &rng;
+  ch.set_fault(&fault);
+
+  fault.drop_rate = 1.0;
+  ch.deliver(data_packet(1000), 0);
+  fault.drop_rate = 0.0;
+  fault.blackhole_refs = 1;
+  ch.deliver(data_packet(1000), 0);
+  fault.blackhole_refs = 0;
+  ch.set_up(false);
+  ch.deliver(data_packet(1000), 0);
+  EXPECT_EQ(ch.lane_pending(), 0u);
+  f.sim.run();
+
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(ch.delivered_packets(), 0u);
+  EXPECT_EQ(ch.discarded_packets(), 3u);
+  EXPECT_EQ(fault.dropped, 1u);
+  EXPECT_EQ(fault.blackholed, 1u);
+  EXPECT_EQ(drops.sites, (std::vector<DropSite>{DropSite::kWireRandom, DropSite::kWireBlackhole,
+                                                DropSite::kWireDown}));
+  EXPECT_EQ(f.sim.events_processed(), 0u);
+}
+
+TEST(Lane, CheckpointRestoresParkedRecordsInOrder) {
+  // The lane's checkpoint section carries every parked record with its
+  // stamped (t, seq); the restored lane re-arms its head and delivers the
+  // same frames at the same instants.  A non-empty target is refused.
+  std::vector<std::uint8_t> image;
+  Time ser = 0;
+  {
+    LaneFixture f;
+    SinkNode sink(f.sim, f.log);
+    Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+    ch.connect(&sink, 0);
+    ser = ch.serialization(1000);
+    for (int i = 0; i < 3; ++i) {
+      Packet p = data_packet(1000);
+      p.psn = static_cast<std::uint32_t>(i);
+      ch.deliver(p, (i + 1) * ser);
+    }
+    StateIO io = StateIO::saver(image);
+    ch.checkpoint(io);
+    ASSERT_TRUE(io.ok()) << io.error();
+  }
+
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 2);
+  StateIO io = StateIO::loader(image);
+  ch.checkpoint(io);
+  ASSERT_TRUE(io.ok()) << io.error();
+  EXPECT_EQ(ch.lane_pending(), 3u);
+  EXPECT_EQ(ch.delivered_packets(), 3u);
+
+  StateIO again = StateIO::loader(image);
+  ch.checkpoint(again);
+  EXPECT_FALSE(again.ok());
+
+  f.sim.run();
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(sink.arrivals[i].pkt.psn, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(sink.arrivals[i].t, (i + 1) * ser + microseconds(1));
+    EXPECT_EQ(sink.arrivals[i].port, 2u);
+  }
+  EXPECT_EQ(ch.lane_pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,146 +463,38 @@ TEST(FarEvents, SlotRecyclesCleanlyIntoMainHeap) {
 }
 
 // ---------------------------------------------------------------------------
-// Digest equality: lanes on == lanes off, bit for bit
+// Endpoint dispatch: kind tags and the custom-node virtual hop
 // ---------------------------------------------------------------------------
 
-struct TrialDigest {
-  double goodput = 0.0;
-  Time elapsed = 0;
-  bool completed = false;
-  std::uint64_t retransmitted = 0;
-  std::uint64_t events = 0;
+TEST(Devirt, ConcreteEndpointsCarryTheirKindTags) {
+  LaneFixture f;
+  Switch sw(f.sim, f.log, 1, "sw", SwitchConfig{}, /*seed=*/1);
+  SinkNode sink(f.sim, f.log);
+  EXPECT_EQ(sw.kind(), NodeKind::kSwitch);
+  EXPECT_EQ(sink.kind(), NodeKind::kOther);  // test nodes take the virtual hop
+}
 
-  bool operator==(const TrialDigest&) const = default;
-};
-
-/// Fig 10/17 shape: scheme x injected-loss matrix of long testbed flows.
-std::vector<TrialDigest> long_flow_matrix(bool lanes, unsigned jobs) {
-  ScopedLanesEnv env(lanes);
-  const SchemeKind kinds[] = {SchemeKind::kDcp, SchemeKind::kRackTlp, SchemeKind::kIrn,
-                              SchemeKind::kTimeout};
-  const double rates[] = {0.0, 0.005, 0.02};
-  struct Trial {
-    SchemeKind k;
-    double rate;
-  };
-  std::vector<Trial> trials;
-  for (double rate : rates) {
-    for (SchemeKind k : kinds) trials.push_back({k, rate});
+TEST(Devirt, CustomNodeReceivesThroughTheVirtualHop) {
+  // A kOther endpoint is reached through Node::receive: every delivery
+  // arrives, in order, at its stamped time and on the connected port.
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 7);
+  const Time ser = ch.serialization(1000);
+  for (int i = 0; i < 4; ++i) {
+    Packet p = data_packet(1000);
+    p.psn = static_cast<std::uint32_t>(i);
+    ch.deliver(p, (i + 1) * ser);
   }
-  SweepRunner pool(jobs);
-  pool.set_progress(false);
-  return pool.run(trials.size(), [&](std::size_t i) {
-    LongFlowParams p;
-    p.scheme = trials[i].k;
-    p.loss_rate = trials[i].rate;
-    p.flow_bytes = 2ull * 1000 * 1000;
-    p.max_time = milliseconds(20);
-    const LongFlowResult r = run_long_flow(p);
-    TrialDigest d;
-    d.goodput = r.goodput_gbps;
-    d.elapsed = r.elapsed;
-    d.completed = r.completed;
-    d.retransmitted = r.sender.retransmitted_packets;
-    d.events = r.core.events_processed;
-    return d;
-  });
-}
-
-TEST(LaneDigest, LongFlowMatrixLanesOnOffBitIdentical) {
-  const std::vector<TrialDigest> on = long_flow_matrix(true, 1);
-  const std::vector<TrialDigest> off = long_flow_matrix(false, 1);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i], off[i]) << "trial " << i;
+  f.sim.run();
+  ASSERT_EQ(sink.arrivals.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(sink.arrivals[i].pkt.psn, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(sink.arrivals[i].t, (i + 1) * ser + microseconds(1));
+    EXPECT_EQ(sink.arrivals[i].port, 7u);
   }
-  // The matrix exercised recovery, not just clean delivery.
-  bool any_retx = false;
-  for (const TrialDigest& d : on) any_retx = any_retx || d.retransmitted > 0;
-  EXPECT_TRUE(any_retx);
-}
-
-TEST(LaneDigest, LongFlowMatrixLanesOnOffBitIdenticalUnderParallelSweep) {
-  // DCP_JOBS=8 shape: worker threads each build their own Simulator, so the
-  // lane/heap choice must be equal per-trial regardless of scheduling.
-  const std::vector<TrialDigest> on = long_flow_matrix(true, 8);
-  const std::vector<TrialDigest> off = long_flow_matrix(false, 8);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i], off[i]) << "trial " << i;
-  }
-  EXPECT_EQ(on, long_flow_matrix(true, 1));  // and jobs are digest-invisible
-}
-
-/// Fig 1 shape: WebSearch background load on the CLOS fabric.
-std::vector<TrialDigest> websearch_matrix(bool lanes, unsigned jobs) {
-  ScopedLanesEnv env(lanes);
-  const std::uint64_t seeds[] = {11, 23};
-  const SchemeKind kinds[] = {SchemeKind::kDcp, SchemeKind::kIrn};
-  SweepRunner pool(jobs);
-  pool.set_progress(false);
-  return pool.run(4, [&](std::size_t i) {
-    WebSearchParams p;
-    p.scheme = kinds[i % 2];
-    p.seed = seeds[i / 2];
-    p.clos.spines = 2;
-    p.clos.leaves = 2;
-    p.clos.hosts_per_leaf = 4;
-    p.load = 0.4;
-    p.num_flows = 100;
-    WebSearchResult r = run_websearch(p);
-    TrialDigest d;
-    d.goodput = r.background.overall().percentile(99.0);
-    d.completed = r.flows_completed == r.flows_total;
-    d.retransmitted = r.timeouts_background;
-    d.events = r.core.events_processed;
-    return d;
-  });
-}
-
-TEST(LaneDigest, WebsearchLanesOnOffBitIdenticalAcrossJobCounts) {
-  const std::vector<TrialDigest> baseline = websearch_matrix(true, 1);
-  EXPECT_EQ(baseline, websearch_matrix(false, 1));
-  EXPECT_EQ(baseline, websearch_matrix(true, 8));
-  EXPECT_EQ(baseline, websearch_matrix(false, 8));
-}
-
-// ---------------------------------------------------------------------------
-// 200-seed fuzz batch: verdicts identical lanes on/off, oracle clean
-// ---------------------------------------------------------------------------
-
-struct FuzzDigest {
-  bool violated = false;
-  std::string invariant;
-  Time at = 0;
-  std::size_t num_violations = 0;
-  bool all_complete = false;
-
-  bool operator==(const FuzzDigest&) const = default;
-};
-
-std::vector<FuzzDigest> fuzz_batch(bool lanes, unsigned jobs) {
-  ScopedLanesEnv env(lanes);
-  SweepRunner pool(jobs);
-  pool.set_progress(false);
-  return pool.run(200, [&](std::size_t i) {
-    const FuzzScenario s = generate_fuzz_scenario(/*seed=*/1000 + i);
-    const FuzzVerdict v = run_fuzz_scenario(s);
-    return FuzzDigest{v.violated, v.invariant, v.at, v.num_violations, v.all_complete};
-  });
-}
-
-TEST(LaneFuzz, TwoHundredSeedsCleanAndIdenticalLanesOnOff) {
-  // Crossed axes on purpose: lanes-on under the parallel pool vs lanes-off
-  // serial.  Equality proves the lane scheduler AND the job count are both
-  // invisible to the invariant oracle across 200 random scenarios.
-  const std::vector<FuzzDigest> on = fuzz_batch(true, 8);
-  const std::vector<FuzzDigest> off = fuzz_batch(false, 1);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i], off[i]) << "seed " << 1000 + i;
-    EXPECT_FALSE(on[i].violated) << "seed " << 1000 + i << ": " << on[i].invariant;
-  }
+  EXPECT_EQ(f.sim.events_processed(), 4u);
 }
 
 }  // namespace

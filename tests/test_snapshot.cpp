@@ -2,8 +2,7 @@
 // a run resumed from a snapshot at time T must be BIT-IDENTICAL to the run
 // that never stopped — same WorldDigest (per-flow completion stamps and
 // stats, switch counters) and same events_processed — across every
-// snapshottable scheme, serial and sharded event cores, lane-coalesced and
-// per-packet heaps, devirtualized and virtual dispatch.  Also covers
+// snapshottable scheme and serial and sharded event cores.  Also covers
 // re-save byte-equality (save(restore(img)) == img), the TcpLite
 // unsupported-scheme refusal, warm-booted sweeps, a 200-seed oracle-armed
 // fuzz batch through the restore path, and snapshot-accelerated ddmin
@@ -185,28 +184,20 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
   }
 }
 
-TEST(Snapshot, ShardLanesDevirtMatrix) {
+TEST(Snapshot, ResumeBitIdenticalAtOneAndFourShards) {
   // Fault-free scenario (fault plans force serial); leaves=4 admits 4
-  // shards.  Every (shards, lanes, devirt) combination must resume
-  // bit-identically to its own uninterrupted run.
+  // shards.  Each shard count must resume bit-identically to its own
+  // uninterrupted run.
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kIrn}) {
     const FuzzScenario s = clean_scenario(k);
     for (int shards : {1, 4}) {
-      for (const char* lanes : {"0", "1"}) {
-        for (const char* devirt : {"0", "1"}) {
-          ScopedEnv e1("DCP_SHARDS", std::to_string(shards));
-          ScopedEnv e2("DCP_LANES", lanes);
-          ScopedEnv e3("DCP_DEVIRT", devirt);
-          const WorldSpec ws = spec_for(s);
-          const std::string what = std::string(scheme_name(k)) + " shards=" +
-                                   std::to_string(shards) + " lanes=" + lanes +
-                                   " devirt=" + devirt;
-          const WorldDigest cold = cold_digest(ws);
-          const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str());
-          EXPECT_EQ(cold.value, warm.value) << what;
-          EXPECT_EQ(cold.events, warm.events) << what;
-        }
-      }
+      ScopedEnv e("DCP_SHARDS", std::to_string(shards));
+      const WorldSpec ws = spec_for(s);
+      const std::string what = std::string(scheme_name(k)) + " shards=" + std::to_string(shards);
+      const WorldDigest cold = cold_digest(ws);
+      const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str());
+      EXPECT_EQ(cold.value, warm.value) << what;
+      EXPECT_EQ(cold.events, warm.events) << what;
     }
   }
 }
@@ -243,12 +234,16 @@ TEST(Snapshot, ImageEncodeDecodeRoundTrip) {
   ASSERT_TRUE(SnapshotImage::decode(bytes, back));
   EXPECT_TRUE(img == back);
 
-  // Truncation and corruption must be rejected, not misparsed.
+  // Truncation, corruption and a foreign format version must be rejected,
+  // not misparsed.
   std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 9);
   EXPECT_FALSE(SnapshotImage::decode(truncated, back));
   std::vector<std::uint8_t> corrupt = bytes;
   corrupt[0] ^= 0xff;  // magic
   EXPECT_FALSE(SnapshotImage::decode(corrupt, back));
+  std::vector<std::uint8_t> other_version = bytes;
+  other_version[sizeof(SnapshotImage::kMagic)] ^= 0xff;  // version word follows the magic
+  EXPECT_FALSE(SnapshotImage::decode(other_version, back));
 }
 
 TEST(Snapshot, TcpSchemeRefusesSnapshot) {
