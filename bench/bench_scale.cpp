@@ -43,7 +43,7 @@ using namespace dcp;
 
 /// FNV-1a over every flow's completion record.  Any divergence in timing,
 /// retransmission behaviour or delivery between DCP_SHARDS settings lands
-/// in here — the sharded run must merge to the exact serial interleaving.
+/// in here — the sharded run must reproduce the exact serial interleaving.
 struct RunDigest {
   std::uint64_t hash = 1469598103934665603ull;
   std::uint64_t flows_completed = 0;

@@ -202,8 +202,8 @@ void FaultInjector::replay_to(Time t) {
       ++ev;
     }
   }
-  // Same-time events fired in arm order (arming allocates ascending
-  // sequence numbers), which a stable sort by time preserves.
+  // Same-time events fired in arm order (arming draws ascending node-less
+  // keys), which a stable sort by time preserves.
   std::stable_sort(reps.begin(), reps.end(),
                    [](const Rep& x, const Rep& y) { return x.at < y.at; });
   auto saved_start = std::move(on_fault_start);

@@ -127,10 +127,6 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   // the snapshot stream layout identical across ddmin candidates, letting
   // the empty-plan probe (ddmin removing every action) restore too.
   inj_ = std::make_unique<FaultInjector>(*net_, s.faults, spec_.injector_seed);
-
-  // First sequence after the deterministic setup phase: the boundary of
-  // runtime-seq translation for prefix-isomorphic restores.
-  setup_seq_end_ = shards_->sim(0).snapshot_next_seq();
 }
 
 SimWorld::~SimWorld() = default;
@@ -173,8 +169,7 @@ bool SimWorld::save(SnapshotImage& out, std::string* error) {
   out.fingerprint = spec_.fingerprint();
   out.shards = static_cast<std::uint32_t>(shards_->size());
   out.at = at_;
-  out.setup_seq_end = setup_seq_end_;
-  out.next_seq = shards_->sim(0).snapshot_next_seq();
+  out.key_counters = shards_->sim(0).key_counters();
   out.clocks.resize(static_cast<std::size_t>(shards_->size()));
   for (int i = 0; i < shards_->size(); ++i) {
     const Simulator& s = shards_->sim(i);
@@ -211,11 +206,6 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
     return fail("snapshot restore: clock shape mismatch");
   }
 
-  // Runtime sequences shift by the setup-phase length difference between
-  // the image's spec and ours (zero when the specs match).
-  const std::int64_t delta = static_cast<std::int64_t>(img.setup_seq_end) -
-                             static_cast<std::int64_t>(setup_seq_end_);
-
   // Rebuild-side prep, mirroring what the saved run had already done by
   // its snapshot point: flip shard-run mode on (the saved run's first
   // window did), drop the start events of flows that had already started
@@ -227,7 +217,6 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
   if (inj_ != nullptr) inj_->replay_to(img.at);
 
   StateIO io = StateIO::loader(img.state);
-  io.set_seq_context(img.setup_seq_end, delta);
   net_->checkpoint(io);
   if (inj_ != nullptr) inj_->checkpoint(io);
   if (oracle_ != nullptr) oracle_->checkpoint(io);
@@ -240,11 +229,13 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
     Simulator& s = shards_->sim(i);
     const SnapshotClock& c = img.clocks[static_cast<std::size_t>(i)];
     s.restore_clock(c.now, c.events);
-    s.restore_current_event(c.cur_time, io.translate_seq(c.cur_seq));
+    s.restore_current_event(c.cur_time, c.cur_seq);
     s.settle_deadline_top();
   }
-  // One shared allocator across the group: restore once, translated.
-  shards_->sim(0).restore_next_seq(io.translate_seq(img.next_seq));
+  // One shared counter table across the group: restore it once.
+  if (!shards_->sim(0).restore_key_counters(img.key_counters)) {
+    return fail("snapshot restore: key counter shape mismatch");
+  }
   at_ = img.at;
   return true;
 }

@@ -15,8 +15,8 @@
 // the restored run is bit-for-bit the uninterrupted one.  Restore into a
 // world built from a *different but prefix-isomorphic* spec (the fuzzer's
 // ddmin probes, which drop fault actions whose first effect lies at or
-// after the snapshot time) is the allow_spec_delta path: runtime event
-// sequences are renumbered by the constant setup-phase delta.
+// after the snapshot time) is the allow_spec_delta path; it loads the same
+// way (see sim/snapshot.h on why no key needs renumbering).
 
 #include <cstdint>
 #include <memory>
@@ -81,7 +81,6 @@ class SimWorld {
   InvariantOracle* oracle() { return oracle_.get(); }
   FaultInjector* injector() { return inj_.get(); }
   int shard_count() const { return shards_->size(); }
-  std::uint64_t setup_seq_end() const { return setup_seq_end_; }
   std::uint64_t events_processed() const;
 
   /// Pauses the CANONICAL run_until_done trajectory just before t: every
@@ -120,7 +119,6 @@ class SimWorld {
   std::vector<Host*> hosts_;  // scenario host-index order (CLOS or fat-tree)
   std::unique_ptr<InvariantOracle> oracle_;
   std::unique_ptr<FaultInjector> inj_;
-  std::uint64_t setup_seq_end_ = 0;
   Time at_ = 0;  // barrier-safe point: every event with t < at_ has run
 };
 

@@ -111,12 +111,6 @@ ReceiverStats Host::journal_stats_at(FlowId id, Time t, std::uint64_t seq) {
   return r != nullptr ? r->stats() : ReceiverStats{};
 }
 
-void Host::remap_stat_journal(const SeqRemap& remap) {
-  for (auto& [id, log] : journal_) {
-    for (StatSnap& s : log) s.seq = remap(s.seq);
-  }
-}
-
 void Host::prune_stat_journal() {
   for (auto& [id, log] : journal_) {
     // Entries ascend in (t, seq); the last one is the latest.
@@ -184,7 +178,7 @@ void Host::checkpoint(StateIO& io) {
       io.pod(vn);
       for (auto& snap : v) {
         io.pod(snap.t);
-        io.seq(snap.seq);
+        io.pod(snap.seq);
         io.pod(snap.stats);
       }
     }
@@ -200,7 +194,7 @@ void Host::checkpoint(StateIO& io) {
       for (std::uint64_t k = 0; k < vn && io.ok(); ++k) {
         StatSnap snap{};
         io.pod(snap.t);
-        io.seq(snap.seq);
+        io.pod(snap.seq);
         io.pod(snap.stats);
         v.push_back(snap);
       }

@@ -75,14 +75,12 @@ class Host final : public Node {
   void enable_stat_journal() { journal_on_ = true; }
   bool stat_journal_on() const { return journal_on_; }
   /// Appends a snapshot of flow `id`'s receiver stats keyed by the current
-  /// event; provisional stamps are committed by remap_stat_journal().
+  /// event.
   void journal_receiver_stats(FlowId id);
   /// Latest snapshot strictly before finalize key (t, seq); keys are
   /// globally unique so "at or before" is equivalent.  Falls back to the
   /// live stats when nothing has been journaled for the flow.
   ReceiverStats journal_stats_at(FlowId id, Time t, std::uint64_t seq);
-  /// Barrier: commit provisional stamps (window remap hook).
-  void remap_stat_journal(const SeqRemap& remap);
   /// Barrier, after finalizations: drop entries no future finalize can
   /// key into.  Every later finalize key lies in a later window, so only
   /// each flow's latest entry is kept.
@@ -108,7 +106,7 @@ class Host final : public Node {
   };
   bool journal_on_ = false;
   // Entries per flow are appended in execution order, which is ascending
-  // committed (t, seq) — the window remap is order-preserving.
+  // (t, seq): this host's shard pops its events in key order.
   std::unordered_map<FlowId, std::vector<StatSnap>> journal_;
 };
 

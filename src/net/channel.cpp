@@ -61,8 +61,8 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
 
   if (cross_dst_sim_ != nullptr) {
     // Cut edge: copy the packet out of the source shard's pool and park it
-    // until the barrier.  One sequence per delivery, same as the lane
-    // below, keeps the merged order bit-identical to the serial run.
+    // until the barrier.  One key per delivery, same as the lane below,
+    // keeps the order bit-identical to the serial run.
     CrossRecord cr;
     cr.t = sim_.now() + extra + propagation_;
     cr.seq = sim_.alloc_event_seq();
@@ -131,6 +131,9 @@ void Channel::lane_insert_ooo(LaneRecord* r) {
 }
 
 void Channel::fire_lane() {
+  // The head timer fired as the sender (its key's origin); the delivery,
+  // and every coalesced one after it, runs as the receiving node.
+  sim_.set_origin(dst_->id());
   LaneRecord* r = lane_head_;
   for (;;) {
     // Pop, then re-arm for the remaining head BEFORE running the arrival
@@ -167,28 +170,22 @@ void Channel::fire_lane() {
   }
 }
 
-void Channel::enable_shard_mode(Simulator* dst_sim) {
-  cross_dst_sim_ = dst_sim;
-  if (dst_sim != nullptr && cross_timer_ == nullptr) {
-    cross_timer_ = std::make_unique<Timer>(*dst_sim, [this] { cross_arrive_next(); });
+void Channel::enable_shard_mode(Simulator& dst_sim) {
+  cross_dst_sim_ = &dst_sim;
+  if (cross_timer_ == nullptr) {
+    cross_timer_ = std::make_unique<Timer>(dst_sim, [this] { cross_arrive_next(); });
   }
-  // Parked lane records carry window-provisional stamps; commit them at
-  // every barrier (the heap mirror is rewritten by end_shard_window).
-  sim_.add_seq_remap_hook([this](const SeqRemap& remap) {
-    for (LaneRecord* r = lane_head_; r != nullptr; r = r->next) r->seq = remap(r->seq);
-  });
 }
 
-std::size_t Channel::drain_cross(const SeqRemap& remap) {
+std::size_t Channel::drain_cross() {
   const std::size_t moved = outbox_.size();
   if (moved == 0) return 0;
   auto earlier = [](const CrossRecord& a, const CrossRecord& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   };
-  // Commit the window's stamps, then sort the batch once: delivery times
-  // are near-monotone (the clock advances; only serialization backlog
-  // reorders), so this is almost always a no-op pass.
-  for (CrossRecord& r : outbox_) r.seq = remap(r.seq);
+  // Sort the batch once: delivery times are near-monotone (the clock
+  // advances; only out-of-band frames reorder), so this is almost always
+  // a no-op pass.
   std::sort(outbox_.begin(), outbox_.end(), earlier);
   // Drop the consumed prefix, then splice the batch in one merge pass —
   // leftover records (arrival times beyond the windows run so far) stay
@@ -204,7 +201,7 @@ std::size_t Channel::drain_cross(const SeqRemap& remap) {
                      inbox_.end(), earlier);
   outbox_.clear();
   // Mirror the (possibly new) head: one heap entry per channel, not per
-  // record.  Re-arming with an existing key never consumes a sequence.
+  // record.  Re-arming with an existing key never draws one.
   cross_timer_->arm_keyed_abs(inbox_.front().t, inbox_.front().seq);
   return moved;
 }
@@ -223,8 +220,9 @@ void Channel::cross_arrive_next() {
     cross_timer_->arm_keyed_abs(inbox_[inbox_head_].t, inbox_[inbox_head_].seq);
   }
   // Re-pool on the destination shard's thread, then run the shared far-end
-  // logic under the destination simulator: that is the one executing this
-  // event.
+  // logic under the destination simulator, as the receiving node: that is
+  // the one executing this event.
+  cross_dst_sim_->set_origin(dst_->id());
   arrive(PacketPtr::make(std::move(rec.pkt)), rec.epoch, rec.corrupt, *cross_dst_sim_);
 }
 
@@ -254,7 +252,7 @@ void Channel::checkpoint(StateIO& io) {
       std::uint8_t corrupt = r->corrupt ? 1 : 0;
       Packet flat(*r->pkt);
       io.pod(t);
-      io.seq(seq);
+      io.pod(seq);
       io.pod(epoch);
       io.pod(corrupt);
       io.pod(flat);
@@ -271,7 +269,7 @@ void Channel::checkpoint(StateIO& io) {
       std::uint8_t corrupt = 0;
       Packet flat;
       io.pod(t);
-      io.seq(seq);
+      io.pod(seq);
       io.pod(epoch);
       io.pod(corrupt);
       io.pod(flat);
@@ -301,7 +299,7 @@ void Channel::checkpoint(StateIO& io) {
   // byte-for-byte.
   auto rec_io = [&io](CrossRecord& r) {
     io.pod(r.t);
-    io.seq(r.seq);
+    io.pod(r.seq);
     io.pod(r.epoch);
     io.pod(r.corrupt);
     io.pod(r.pkt);

@@ -8,13 +8,15 @@
 // fixed-latency wire delivers strictly FIFO, so instead of one heap entry
 // per in-flight packet the channel parks packets in an intrusive FIFO of
 // LaneRecords — each stamped at deliver() time with its absolute arrival
-// time and a global tie-break sequence — and keeps only the lane HEAD in
-// the simulator heap, via a persistent Timer keyed with the head's exact
-// (t, seq).  Heap size becomes O(active links) instead of O(packets in
-// flight), while the firing order stays that of one heap event per packet
-// because every delivery consumes exactly one sequence number, exactly as
-// schedule() would have at the same call site (see docs/architecture.md,
-// "Two-level scheduler").
+// time and a tie-break key — and keeps only the lane HEAD in the simulator
+// heap, via a persistent Timer keyed with the head's exact (t, seq).  Heap
+// size becomes O(active links) instead of O(packets in flight), while the
+// firing order stays that of one heap event per packet because every
+// delivery draws exactly one key, exactly as schedule() would have at the
+// same call site (see docs/architecture.md, "Two-level scheduler").  The
+// key is drawn for the sending node; the delivery itself runs as the
+// receiving node (peer()), so whatever it draws comes from that node's
+// counter.
 
 #include <cassert>
 #include <cstddef>
@@ -37,8 +39,8 @@ class StateIO;
 
 /// One cross-shard delivery riding a cut channel (see sim/shard.h): the
 /// packet is copied by value so the source shard's pool slot never leaves
-/// its owning thread.  `seq` is provisional until the window barrier
-/// remaps it; the destination shard re-pools the bytes on arrival.
+/// its owning thread.  `seq` is the sender's key, final when drawn; the
+/// destination shard re-pools the bytes on arrival.
 struct CrossRecord {
   Time t = 0;
   std::uint64_t seq = 0;
@@ -147,26 +149,25 @@ class Channel {
 
   // --- Cross-shard cut edges (see sim/shard.h) -----------------------------
   // A channel whose endpoints live on different shards becomes a mailbox:
-  // deliver() stamps one sequence (exactly like the lane path) and parks a
+  // deliver() draws one key (exactly like the lane path) and parks a
   // CrossRecord in the source-thread outbox; at the window barrier the
-  // coordinator remaps the stamps, sorts the batch by (t, seq) and merges
-  // it into the destination-side inbox FIFO in one pass.  Like a delivery
+  // coordinator sorts the batch by (t, seq) and merges it into the
+  // destination-side inbox FIFO in one pass.  Like a delivery
   // lane, only the inbox HEAD occupies the destination heap — a persistent
   // timer keyed with the head's exact (t, seq), re-armed as records pop —
   // so each record still costs exactly one fired event and accounting is
   // bit-identical to the serial lane, without one heap insert per record
   // at the barrier.
 
-  /// Puts the channel in shard mode.  `dst_sim` is the destination shard's
-  /// simulator for cut edges, nullptr for shard-internal channels (which
-  /// only need their parked lane stamps remapped at barriers).
-  void enable_shard_mode(Simulator* dst_sim);
+  /// Makes this channel a cut edge into `dst_sim`, the destination
+  /// shard's simulator.
+  void enable_shard_mode(Simulator& dst_sim);
   bool cross_shard() const { return cross_dst_sim_ != nullptr; }
-  /// Barrier-only: commits outbox stamps and hands the batch to the
-  /// destination shard (runs on the coordinator with all shards parked).
-  /// Returns the number of records moved — the ShardGroup's mailbox-
-  /// pressure signal for adaptive window sizing.
-  std::size_t drain_cross(const SeqRemap& remap);
+  /// Barrier-only: hands the outbox batch to the destination shard (runs
+  /// on the coordinator with all shards parked).  Returns the number of
+  /// records moved — the ShardGroup's mailbox-pressure signal for adaptive
+  /// window sizing.
+  std::size_t drain_cross();
   std::size_t cross_pending() const {
     return outbox_.size() + (inbox_.size() - inbox_head_);
   }
@@ -196,7 +197,8 @@ class Channel {
     }
     if (lane_tail_->t <= r->t) {
       // FIFO fast path: queue-driven traffic arrives in serialization order,
-      // and at equal times r's fresher sequence number keeps it behind.
+      // and at equal times r's fresher key keeps it behind (every record
+      // is keyed by the one sending node, whose keys ascend).
       lane_tail_->next = r;
       lane_tail_ = r;
       return;

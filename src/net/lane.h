@@ -4,7 +4,7 @@
 // A Channel with fixed bandwidth and propagation delivers strictly FIFO, so
 // per-packet entries in the global heap are wasted ordering work.  Instead
 // each in-flight packet becomes a LaneRecord — stamped at deliver() time
-// with its absolute arrival time and a global tie-break sequence — linked
+// with its absolute arrival time and the sending node's tie-break key — linked
 // into the channel's intrusive FIFO.  Only the lane head occupies the heap
 // (via a persistent Timer keyed with the head's exact (t, seq)), so heap
 // size tracks active links, not packets in flight.

@@ -52,7 +52,9 @@ class Node {
 
  protected:
   Node(Simulator& sim, Logger& log, NodeId id, std::string name, NodeKind kind)
-      : sim_(sim), log_(log), id_(id), name_(std::move(name)), kind_(kind) {}
+      : sim_(sim), log_(log), id_(id), name_(std::move(name)), kind_(kind) {
+    sim.reserve_origin(id);  // the node's tie-break key counter
+  }
 
   void maybe_trace(const Packet& pkt, std::uint32_t in_port) const {
     if (trace_hook) trace_hook(*this, pkt, in_port);

@@ -55,16 +55,6 @@ void EventQueue::timer_destroy(std::uint32_t timer) {
   release(timer);
 }
 
-void EventQueue::end_shard_window(const std::vector<std::uint64_t>& committed) {
-  shard_log_ = nullptr;
-  const auto fix = [&committed](HeapEntry& e) {
-    if (e.seq & kProvisionalSeq) e.seq = committed[e.seq & ~kProvisionalSeq];
-  };
-  for (HeapEntry& e : heap_) fix(e);
-  for (HeapEntry& e : dheap_) fix(e);
-  for (HeapEntry& e : oheap_) fix(e);
-}
-
 void EventQueue::compact_oheap() {
   std::vector<HeapEntry> live;
   live.reserve(olive_);

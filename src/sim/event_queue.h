@@ -29,7 +29,7 @@
 //         moves 24-byte records without maintaining any position array
 //         (one fewer store per level, and cancel() degrades to an O(1)
 //         lazy tombstone reclaimed when the entry surfaces).
-//     The sequence number preserves FIFO order among simultaneous events;
+//     The key preserves each origin's FIFO order among simultaneous events;
 //     each heap's top is kept accurate so next_time() stays O(1).
 //   * EventIds are generation-stamped handles: (generation << 32) | slot+1.
 //     Firing or cancelling a slot bumps its generation, so double-cancel
@@ -38,23 +38,24 @@
 //   * Two-level scheduling support: components that own a naturally
 //     ordered stream of events (a Channel's delivery lane, a periodic
 //     timer) keep only ONE entry in the heap.  alloc_seq()/push_keyed()
-//     let them stamp each logical event with a global sequence number at
+//     let them stamp each logical event with a tie-break key at
 //     creation and enter the heap with that exact (time, seq) key later,
 //     so the merged firing order is identical to scheduling every logical
 //     event individually.  Persistent timer slots (timer_create /
 //     timer_arm / timer_cancel) hold their callback across fires: arming
 //     again after a fire is a heap insert only — no slot churn, no
 //     callback reconstruction.
-//   * Space-parallel sharding support: a sharded run (sim/shard.h) gives
-//     every shard its own EventQueue but ONE logical sequence space.  In
-//     the single-threaded setup phase all queues draw from a shared
-//     counter; during a parallel window each queue hands out provisional
-//     high-bit-flagged sequences and logs (allocation time, allocating
-//     event) per draw, and the window barrier merges the per-shard logs
-//     into the exact sequence numbers the serial run would have assigned
-//     (see remap_shard_seqs).  Unsharded runs pay one predictable branch
-//     per allocation.
+//   * Tie-break keys are derived locally, per origin: a key packs the
+//     node that executes the allocating event (its "origin") with that
+//     origin's own monotone counter, so each node's keys are a function of
+//     its own execution history alone.  A sharded run (sim/shard.h) gives
+//     every shard its own EventQueue but one shared per-origin counter
+//     table; a node's counter is only ever advanced by the thread running
+//     that node's events, so serial and sharded runs compute the same keys
+//     with no merge.  Setup-phase and node-less draws use the reserved
+//     origin kSetupOrigin.
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -69,21 +70,19 @@ namespace dcp {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
-/// One provisional sequence allocation inside a shard window: when it was
-/// drawn and the (global or provisional) sequence of the event that drew
-/// it.  The log index doubles as the provisional id.
-struct ShardSeqAlloc {
-  Time t;
-  std::uint64_t parent;
-};
-
 class EventQueue {
  public:
-  /// Provisional sequences handed out during a shard window carry this
-  /// flag; they compare AFTER every committed sequence at the same time,
-  /// which is exactly the serial order (anything allocated in an earlier
-  /// window was allocated at an earlier simulated time).
-  static constexpr std::uint64_t kProvisionalSeq = 1ull << 63;
+  // --- Tie-break keys -------------------------------------------------------
+  // key = counter << kOriginBits | (origin ^ mix(counter)).  Counter-major,
+  // so one origin's keys ascend in draw order (per-origin FIFO, which lane
+  // coalescing relies on); among different origins at one instant the
+  // per-counter XOR mask re-permutes the order at every counter value,
+  // so no node wins same-instant ties systematically (plain low bits would
+  // always favour low node ids when synchronized senders' counters match).
+
+  /// Reserved origin of setup-phase and node-less draws (node ids map to
+  /// origin id + 1, so kInvalidNode lands here too).
+  static constexpr std::uint32_t kSetupOrigin = 0;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -99,15 +98,14 @@ class EventQueue {
     return push_keyed(t, take_seq(), std::forward<F>(fn));
   }
 
-  /// Allocates the next tie-break sequence number.  A caller that manages
-  /// its own ordered event stream stamps each logical event with one of
-  /// these at creation time; entering the heap later via push_keyed() or
-  /// timer_arm_keyed() with the stamped value reproduces exactly the
-  /// firing order push() would have produced.
+  /// Draws the next tie-break key for the current origin.  A caller that
+  /// manages its own ordered event stream stamps each logical event with
+  /// one of these at creation time; entering the heap later via
+  /// push_keyed() or timer_arm_keyed() with the stamped value reproduces
+  /// exactly the firing order push() would have produced.
   std::uint64_t alloc_seq() { return take_seq(); }
 
-  /// push() with an explicit tie-break sequence (from alloc_seq(), or a
-  /// committed cross-shard sequence).
+  /// push() with an explicit tie-break key (from alloc_seq()).
   template <typename F>
   EventId push_keyed(Time t, std::uint64_t seq, F&& fn) {
     const std::uint32_t idx = alloc_slot();
@@ -121,8 +119,8 @@ class EventQueue {
   /// firing (staggered flow starts, experiment-end probes).  One-shots all
   /// live in the non-tracking heap, where a far entry sinks once and is
   /// never compared against by near-term traffic sifting shallower than
-  /// it.  Firing order is identical to push() — the sequence number is
-  /// allocated here, at call time.
+  /// it.  Firing order is identical to push() — the key is drawn here,
+  /// at call time.
   template <typename F>
   EventId push_far(Time t, F&& fn) {
     return push_keyed(t, take_seq(), std::forward<F>(fn));
@@ -234,36 +232,34 @@ class EventQueue {
   /// in their own heaps precisely so timer events never sift across them.
   std::size_t peak_heap_size() const { return peak_heap_; }
 
-  // --- Space-parallel sharding hooks (see sim/shard.h) ----------------------
+  // --- Origins (see the tie-break key helpers above) ------------------------
 
-  /// Redirects sequence allocation to an external counter shared by every
-  /// shard's queue (single-threaded setup phase).  Pass nullptr to restore
-  /// the private counter.
-  void set_shared_seq(std::uint64_t* shared) { seq_src_ = shared != nullptr ? shared : &next_seq_; }
+  /// Points this queue at another queue's per-origin counter table (every
+  /// shard of a ShardGroup shares shard 0's), so a node's counter is the
+  /// same object whichever shard's queue draws for it.
+  void share_counters(EventQueue& owner) { counters_ = owner.counters_; }
+  /// Makes sure `origin` has a counter.  Called while the topology is
+  /// built (Node's constructor), never from a run: the table must not
+  /// grow while shard threads index it.
+  void reserve_origin(std::uint32_t origin) {
+    if (origin >= counters_->size()) counters_->resize(origin + std::size_t{1});
+  }
+  /// The origin subsequent draws are made for.  Every pop sets it to the
+  /// popped key's origin (an event runs as the node that scheduled it);
+  /// a delivery lane then switches it to the receiving node.
+  void set_origin(std::uint32_t origin) { cur_origin_ = origin; }
+  std::uint32_t origin() const { return cur_origin_; }
 
-  /// Enters window mode: every sequence draw returns a provisional id and
-  /// appends a ShardSeqAlloc to `log` (whose index IS the id).  `log` must
-  /// outlive the window; the caller clears it.
-  void begin_shard_window(std::vector<ShardSeqAlloc>* log) { shard_log_ = log; }
-
-  /// Leaves window mode and rewrites every provisional sequence still
-  /// pending in the three heaps with its committed value (`committed[i]`
-  /// for provisional id i).  The per-shard mapping is strictly increasing
-  /// and every committed value exceeds every previously committed one, so
-  /// relabeling preserves all heap invariants in place — no re-heapify.
-  void end_shard_window(const std::vector<std::uint64_t>& committed);
-
-  /// (time, sequence) of the event currently executing — the "parent" a
-  /// window-mode allocation is logged under, also used to stamp receiver
-  /// stat journals.  Valid during pop_and_run (and lane coalescing, which
-  /// refreshes it via set_current_event).
+  /// (time, key) of the event currently executing — stamps receiver stat
+  /// journals and deferred flow finalizations.  Valid during pop_and_run
+  /// (and lane coalescing, which refreshes it via set_current_event).
   Time current_event_time() const { return cur_time_; }
-  std::uint64_t current_event_seq() const { return cur_parent_; }
+  std::uint64_t current_event_seq() const { return cur_seq_; }
   /// Lane coalescing runs a logical event without a pop; the lane refreshes
-  /// the current-event key so allocations inside it log the right parent.
+  /// the current-event key itself.
   void set_current_event(Time t, std::uint64_t seq) {
     cur_time_ = t;
-    cur_parent_ = seq;
+    cur_seq_ = seq;
   }
 
   // --- Checkpoint/restore hooks (see sim/snapshot.h) ------------------------
@@ -339,8 +335,20 @@ class EventQueue {
   /// deadline" after a batch of timer_restore() calls.
   void settle_deadline_top() { settle_dtop(); }
 
-  std::uint64_t snapshot_next_seq() const { return *seq_src_; }
-  void restore_next_seq(std::uint64_t v) { *seq_src_ = v; }
+  /// Every origin's next counter value, indexed by origin.
+  std::vector<std::uint64_t> key_counters() const {
+    std::vector<std::uint64_t> out;
+    out.reserve(counters_->size());
+    for (const OriginCounter& c : *counters_) out.push_back(c.next);
+    return out;
+  }
+  /// Overwrites the counters from key_counters() output; the table must
+  /// already hold that many origins (the rebuild reserved them).
+  bool restore_key_counters(const std::vector<std::uint64_t>& v) {
+    if (v.size() != counters_->size()) return false;
+    for (std::size_t i = 0; i < v.size(); ++i) (*counters_)[i].next = v[i];
+    return true;
+  }
 
  private:
   static constexpr std::uint32_t kChunkShift = 9;
@@ -369,12 +377,29 @@ class EventQueue {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
+  static constexpr unsigned kOriginBits = 24;
+  static constexpr std::uint64_t kOriginMask = (1ull << kOriginBits) - 1;
+  /// Fibonacci-hash mask of a counter value (see the key layout above).
+  static std::uint64_t key_mix(std::uint64_t counter) {
+    return (counter * 0x9E3779B97F4A7C15ull) >> (64 - kOriginBits);
+  }
+  static std::uint64_t make_key(std::uint32_t origin, std::uint64_t counter) {
+    return (counter << kOriginBits) | ((origin ^ key_mix(counter)) & kOriginMask);
+  }
+  static std::uint32_t key_origin(std::uint64_t key) {
+    return static_cast<std::uint32_t>((key ^ key_mix(key >> kOriginBits)) & kOriginMask);
+  }
+
   std::uint64_t take_seq() {
-    if (shard_log_ != nullptr) {
-      shard_log_->push_back(ShardSeqAlloc{cur_time_, cur_parent_});
-      return kProvisionalSeq | (shard_log_->size() - 1);
-    }
-    return (*seq_src_)++;
+    assert(cur_origin_ < counters_->size() && "origin drawn before reserve_origin()");
+    return make_key(cur_origin_, (*counters_)[cur_origin_].next++);
+  }
+  /// One popped event's bookkeeping: clock, current key and origin.
+  void begin_event(const HeapEntry& e, Time& now) {
+    now = e.t;
+    cur_time_ = e.t;
+    cur_seq_ = e.seq;
+    cur_origin_ = key_origin(e.seq);
   }
 
   void grow();
@@ -452,11 +477,17 @@ class EventQueue {
   std::vector<HeapEntry> oheap_;     // one-shots (non-tracking)
   std::size_t olive_ = 0;            // live (non-tombstoned) one-shot entries
   std::size_t odead_ = 0;            // tombstones still parked in oheap_
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t* seq_src_ = &next_seq_;  // shared counter in sharded setup
-  std::vector<ShardSeqAlloc>* shard_log_ = nullptr;  // non-null inside a window
+  // One counter per origin, a cache line each: under sharding neighbouring
+  // node ids often live on different shards (round-robin core switches),
+  // and every draw writes its origin's counter.
+  struct alignas(64) OriginCounter {
+    std::uint64_t next = 0;
+  };
+  std::vector<OriginCounter> own_counters_{1};  // kSetupOrigin only, until nodes reserve
+  std::vector<OriginCounter>* counters_ = &own_counters_;
+  std::uint32_t cur_origin_ = kSetupOrigin;
   Time cur_time_ = 0;
-  std::uint64_t cur_parent_ = 0;  // seq of the event currently executing
+  std::uint64_t cur_seq_ = 0;  // key of the event currently executing
   std::size_t peak_heap_ = 0;
   // Fused pop+re-arm: while a persistent timer's callback runs, its spent
   // root entry stays parked at heap_[0] (its key is a strict minimum among
@@ -474,8 +505,7 @@ class EventQueue {
 // header-visible lets the run loop (simulator.cpp), the delivery lanes
 // (channel.cpp) and the port serialization timers (port.cpp) inline the
 // whole schedule->fire machinery without LTO.  Cold maintenance (grow,
-// timer_create/destroy, shard-window relabeling, one-shot compaction)
-// stays in event_queue.cpp.
+// timer_create/destroy, one-shot compaction) stays in event_queue.cpp.
 
 inline void EventQueue::cancel(EventId id) {
   const std::uint64_t slot_part = id & 0xFFFFFFFFull;
@@ -578,11 +608,9 @@ inline void EventQueue::settle_dtop() {
       continue;
     }
     // Lazily extended: re-key at the true deadline (later, so sift down).
-    // The entry keeps its original sequence — re-keying consumes nothing,
-    // so the global sequence stream is independent of WHEN stale entries
-    // happen to surface (a shard's deadline heap sees only its own
-    // traffic; allocating here would make sequence numbering depend on
-    // sharding).
+    // The entry keeps its original key — re-keying draws nothing, so a
+    // node's key stream is independent of WHEN stale entries happen to
+    // surface (which depends on what else shares this queue).
     top.t = dl;
     sift_down(dheap_, 0, top);
   }
@@ -593,9 +621,7 @@ inline void EventQueue::run_top(int which, Time& now) {
     // One-shot: pop, invalidate, run IN PLACE.  drain_otop() afterwards
     // keeps the top live so next_time() stays O(1)-accurate.
     const HeapEntry top = oheap_[0];
-    now = top.t;
-    cur_time_ = top.t;
-    cur_parent_ = top.seq;
+    begin_event(top, now);
     opop_root();
     --olive_;
     // Handles die here (cancel of the running event's own id is a stale
@@ -616,9 +642,7 @@ inline void EventQueue::run_top(int which, Time& now) {
 
   if (which == 0) {
     const std::uint32_t idx = heap_[0].slot;
-    now = heap_[0].t;
-    cur_time_ = heap_[0].t;
-    cur_parent_ = heap_[0].seq;
+    begin_event(heap_[0], now);
 
     if (persistent_[idx]) {
       // Timer: the callback stays in place and may re-arm its own slot.
@@ -657,9 +681,7 @@ inline void EventQueue::run_top(int which, Time& now) {
   settle_dtop();
   pos_[top.slot] = kNoPos;
   deadline_[top.slot] = kTimeInfinity;
-  now = top.t;
-  cur_time_ = top.t;
-  cur_parent_ = top.seq;
+  begin_event(top, now);
   if (!persistent_[top.slot]) {
     in_dheap_[top.slot] = 0;
     EventCallback fn = std::move(fn_of(top.slot));

@@ -30,14 +30,12 @@ ShardGroup::ShardGroup(int n) {
   assert(n >= 1);
   sims_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) sims_.push_back(std::make_unique<Simulator>());
-  logs_.resize(sims_.size());
-  committed_.resize(sims_.size());
   cross_drains_.resize(sims_.size());
   dispatch_.resize(sims_.size(), 0);
   if (sharded()) {
-    // One sequence space: setup-phase allocations interleave across shard
-    // queues exactly as a single serial queue would hand them out.
-    for (auto& s : sims_) s->set_shared_seq(&global_seq_);
+    // One counter per origin whichever shard draws for it, so setup-phase
+    // draws on any shard's queue match the serial run's.
+    for (std::size_t i = 1; i < sims_.size(); ++i) sims_[i]->share_key_counters(*sims_[0]);
     slots_ = std::make_unique<WorkerSlot[]>(sims_.size() - 1);
   }
 }
@@ -144,11 +142,12 @@ void ShardGroup::run_window_adaptive(Time cap) {
   const Time ahead = std::max<Time>(1, lookahead_ >> window_shift_);
 
   // One uniform bound for every shard, opening at the globally earliest
-  // pending event (see the file header for why it must be uniform).
-  // Adaptivity lives in the window LENGTH (`ahead`, shrunk under
-  // cross-shard pressure) and in dispatch: shards with nothing due in the
-  // window are not dispatched — their workers stay parked on the futex and
-  // they skip window entry, the commit merge, and mailbox drains.
+  // pending event: barrier finalizations read receiver journals as of the
+  // sender's key and then prune them, which is only final once every
+  // shard has run to the same bound (file header).  Adaptivity lives in
+  // the window LENGTH (`ahead`, shrunk under cross-shard pressure) and in
+  // dispatch: shards with nothing due in the window are not dispatched —
+  // their workers stay parked on the futex and they skip mailbox drains.
   const Time min1 = next_time();
   bound_ = min1 >= cap ? cap : std::min(cap, min1 + ahead - 1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -156,13 +155,8 @@ void ShardGroup::run_window_adaptive(Time cap) {
   }
 
   // Dispatch the marked shards, run shard 0 inline, wait for the done
-  // barrier, then merge logs and drain mailboxes.
+  // barrier, then drain mailboxes.
   ++windows_;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dispatch_[i] == 0) continue;
-    logs_[i].clear();
-    sims_[i]->begin_shard_window(&logs_[i]);
-  }
   int need = 0;
   done_count_.store(0, std::memory_order_relaxed);
   for (std::size_t i = 1; i < n; ++i) {
@@ -194,67 +188,14 @@ void ShardGroup::run_window_adaptive(Time cap) {
 }
 
 void ShardGroup::commit_window() {
-  const std::size_t n = sims_.size();
-  std::size_t remaining = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dispatch_[i] == 0) {
-      committed_[i].clear();
-      logs_[i].clear();
-      continue;
-    }
-    committed_[i].assign(logs_[i].size(), 0);
-    remaining += logs_[i].size();
-  }
-
-  // K-way merge of the per-shard allocation logs into serial order.  Each
-  // log is already sorted by (time, committed parent): time is the shard
-  // clock (monotone within a window), and at equal times events execute —
-  // and therefore allocate — in parent-sequence order.  A provisional
-  // parent always resolves before it is needed: its own allocation sits at
-  // a smaller index of the same log (it was drawn before the parent event
-  // ran), so the head cursor has already committed it.  Ties across shards
-  // are impossible — an event executes on exactly one shard, so a given
-  // (time, parent) pair only ever heads one log.
-  std::vector<std::size_t> head(n, 0);
-  auto resolved_parent = [this](std::size_t s, const ShardSeqAlloc& a) {
-    return (a.parent & EventQueue::kProvisionalSeq) != 0
-               ? committed_[s][a.parent & ~EventQueue::kProvisionalSeq]
-               : a.parent;
-  };
-  while (remaining > 0) {
-    std::size_t best = n;
-    Time bt = 0;
-    std::uint64_t bp = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (head[i] >= logs_[i].size()) continue;
-      const ShardSeqAlloc& a = logs_[i][head[i]];
-      const std::uint64_t p = resolved_parent(i, a);
-      if (best == n || a.t < bt || (a.t == bt && p < bp)) {
-        best = i;
-        bt = a.t;
-        bp = p;
-      }
-    }
-    committed_[best][head[best]++] = global_seq_++;
-    --remaining;
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dispatch_[i] == 0) continue;
-    // Leave window mode, rewriting every provisional key still parked in
-    // the shard's heaps, then let components (lanes, journals, pending
-    // finalizations) commit the stamps they hold outside the queue.
-    sims_[i]->end_shard_window(committed_[i]);
-    sims_[i]->run_seq_remap_hooks(SeqRemap{&committed_[i]});
-  }
   // Cut-channel mailbox drains, with the window's cross-record total fed
   // back into the adaptive window size: heavy mailbox traffic means the
-  // windows admitted more cross-shard skew than the merge absorbs cheaply
+  // windows admitted more cross-shard skew than the drains absorb cheaply
   // (shrink the effective lookahead); light windows grow it back.
   std::size_t cross = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < sims_.size(); ++i) {
     if (dispatch_[i] == 0) continue;  // a parked shard sent nothing
-    for (auto& drain : cross_drains_[i]) cross += drain(SeqRemap{&committed_[i]});
+    for (auto& drain : cross_drains_[i]) cross += drain();
   }
   cross_records_ += cross;
   if (cross > kShrinkAt && window_shift_ < kMaxShift) {

@@ -14,26 +14,24 @@
 // shards, with A <= L an effective lookahead the group shrinks under
 // cross-shard mailbox pressure and grows back when windows run light.
 // Opening at the global minimum crosses an idle stretch in one window
-// instead of one barrier per L.  The bound must be uniform: committed
-// sequences are handed out window by window, so the serial (time, parent)
-// order holds only if no shard allocates at a time another shard has yet
-// to reach — a shard racing ahead would commit its later allocations a
-// window early and break same-time ties the wrong way.  Shards with no
-// event inside the bound are not dispatched at all (their worker stays
-// parked).  After the barrier every event at or below the bound has run
-// on every shard, so all of the window's barrier effects are final (see
-// Network::commit_window_effects).
+// instead of one barrier per L.  The bound must be uniform because of
+// the barrier effects: after the barrier every event at or below the
+// bound has run on every shard, so a flow finalized there can read its
+// receiver's stat journal as of the sender's (t, key) — the receiver's
+// shard has executed everything up to that point — and the journals can
+// then be pruned to each flow's latest entry, since every later finalize
+// key lies beyond the bound (see Network::commit_window_effects).  Shards
+// with no event inside the bound are not dispatched at all (their worker
+// stays parked).
 //
-// Determinism: all shards draw setup-phase tie-break sequences from ONE
-// shared counter, so topology construction is bit-identical to the serial
-// run.  During a window each EventQueue hands out provisional sequences
-// and logs (alloc time, allocating event); at the barrier the coordinator
-// K-way-merges the logs — ordered by (time, committed parent sequence),
-// which IS the serial allocation order — and assigns dense global
-// sequences continuing the shared counter.  Every sequence a serial run
-// would have allocated gets the same value, so event interleavings, lane
-// orders and digests are bit-identical to DCP_SHARDS=1 (proof sketch in
-// docs/architecture.md, "Sharded simulation").
+// Determinism: tie-break keys are derived locally, per origin (see
+// EventQueue): a key packs the node an event runs as with that node's own
+// counter, and all shards share one counter table.  A node's events run
+// on its shard only, so its counter advances on one thread, in the order
+// of its own execution history — which does not depend on the shard
+// count.  Every key, and so every event interleaving, lane order and
+// digest, matches DCP_SHARDS=1 with nothing to merge at the barrier (proof
+// sketch in docs/architecture.md, "Why digests are bit-identical").
 //
 // Threading: shard 0 runs on the caller's thread; shards 1..n-1 each get a
 // dedicated worker pinned to their Simulator (keeping the thread-local
@@ -58,9 +56,9 @@ namespace dcp {
 
 class ShardGroup {
  public:
-  /// A group of `n` simulators sharing one sequence space.  n == 1 is the
-  /// escape hatch: no shared counter, no windows, no worker threads — the
-  /// single simulator behaves exactly like a stand-alone one.
+  /// A group of `n` simulators sharing one key-counter table.  n == 1 is
+  /// the plain serial path: no windows, no worker threads — the single
+  /// simulator behaves exactly like a stand-alone one.
   explicit ShardGroup(int n);
   ~ShardGroup();
   ShardGroup(const ShardGroup&) = delete;
@@ -77,11 +75,11 @@ class ShardGroup {
   Time lookahead() const { return lookahead_; }
 
   /// Registers a barrier drain for a cut channel whose SOURCE lives on
-  /// `src_shard`: runs on the coordinator with every shard parked, with
-  /// the source shard's remap for the window just ended.  Returns the
-  /// number of cross-shard records it moved — the group's mailbox-pressure
-  /// signal for adaptive window sizing.
-  void add_cross_drain(int src_shard, std::function<std::size_t(const SeqRemap&)> fn) {
+  /// `src_shard`: runs on the coordinator with every shard parked, after
+  /// each window that shard ran in.  Returns the number of cross-shard
+  /// records it moved — the group's mailbox-pressure signal for adaptive
+  /// window sizing.
+  void add_cross_drain(int src_shard, std::function<std::size_t()> fn) {
     cross_drains_[static_cast<std::size_t>(src_shard)].push_back(std::move(fn));
   }
 
@@ -97,9 +95,9 @@ class ShardGroup {
 
   /// Runs one window (see file header): every shard with work executes to
   /// the uniform bound (inclusive, never beyond `cap`) in parallel, idle
-  /// shards stay parked, then the window commits: merge allocation logs ->
-  /// committed sequences -> heap rewrite -> component remap hooks ->
-  /// cut-channel mailbox drains.  An unsharded group just runs to `cap`.
+  /// shards stay parked, then the barrier drains the cut-channel
+  /// mailboxes and adjusts the effective lookahead.  An unsharded group
+  /// just runs to `cap`.
   void run_window_adaptive(Time cap);
 
   // ---- Instrumentation (read between windows, coordinator thread) -------
@@ -141,10 +139,7 @@ class ShardGroup {
 
   std::vector<std::unique_ptr<Simulator>> sims_;
   Time lookahead_ = 0;
-  std::uint64_t global_seq_ = 1;  // mirrors EventQueue's initial next_seq_
-  std::vector<std::vector<ShardSeqAlloc>> logs_;
-  std::vector<std::vector<std::uint64_t>> committed_;
-  std::vector<std::vector<std::function<std::size_t(const SeqRemap&)>>> cross_drains_;
+  std::vector<std::vector<std::function<std::size_t()>>> cross_drains_;
 
   // Window plan, coordinator-written before dispatch.
   Time bound_ = 0;

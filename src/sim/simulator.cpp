@@ -19,6 +19,8 @@ void Simulator::run(Time until) {
     if (r == EventQueue::PopResult::kBeyond && until != kTimeInfinity) now_ = until;
     break;
   }
+  // Code between runs is node-less: it must not draw for the last event's node.
+  queue_.set_origin(EventQueue::kSetupOrigin);
   tls_active_ = outer;
 }
 
@@ -26,6 +28,7 @@ bool Simulator::run_one() {
   const Simulator* outer = tls_active_;
   tls_active_ = this;
   const bool ran = queue_.pop_and_run(now_);
+  queue_.set_origin(EventQueue::kSetupOrigin);
   tls_active_ = outer;
   if (!ran) return false;
   ++events_processed_;

@@ -6,7 +6,6 @@
 // can run side by side in one process.
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -17,18 +16,6 @@
 namespace dcp {
 
 class CheckObserver;
-
-/// Rewrites a provisional (window-local) sequence into its committed
-/// global value; committed sequences pass through unchanged.  Handed to
-/// seq-remap hooks at every shard-window barrier (see sim/shard.h).
-struct SeqRemap {
-  const std::vector<std::uint64_t>* committed = nullptr;
-  std::uint64_t operator()(std::uint64_t s) const {
-    return (s & EventQueue::kProvisionalSeq) != 0
-               ? (*committed)[s & ~EventQueue::kProvisionalSeq]
-               : s;
-  }
-};
 
 class Simulator {
  public:
@@ -88,11 +75,11 @@ class Simulator {
   // A component owning an ordered event stream (a Channel's delivery lane)
   // stamps each logical event with alloc_event_seq() at creation and keeps
   // only its earliest one in the heap (via Timer::arm_keyed_abs).  Because
-  // one sequence number is consumed per logical event, exactly as if each
-  // were schedule()d individually, the interleaving with every other event
-  // is the one a one-heap-entry-per-event schedule would produce.
+  // one key is drawn per logical event, exactly as if each were
+  // schedule()d individually, the interleaving with every other event is
+  // the one a one-heap-entry-per-event schedule would produce.
 
-  /// Stamps a logical event with the next global tie-break sequence.
+  /// Stamps a logical event with the current origin's next tie-break key.
   std::uint64_t alloc_event_seq() { return queue_.alloc_seq(); }
 
   /// True when a logical event keyed (t, seq) precedes everything pending
@@ -100,9 +87,7 @@ class Simulator {
   bool lane_may_run(Time t, std::uint64_t seq) const { return queue_.before_top(t, seq); }
 
   /// Accounts a lane-coalesced delivery as one event, as if the heap had
-  /// popped it.  The coalesced
-  /// record's (t, seq) becomes the current event key, so anything it
-  /// allocates logs the right parent in a shard window.
+  /// popped it: the record's (t, seq) becomes the current event key.
   void note_coalesced_event(Time t, std::uint64_t seq) {
     ++events_processed_;
     queue_.set_current_event(t, seq);
@@ -126,33 +111,26 @@ class Simulator {
   CheckObserver* check_observer() const { return check_observer_; }
   void set_check_observer(CheckObserver* ob) { check_observer_ = ob; }
 
-  // --- Space-parallel sharding support (see sim/shard.h) --------------------
-  // A ShardGroup gives every shard its own Simulator but one logical
-  // sequence space; these hooks are inert (and the remap-hook list empty)
-  // in ordinary single-simulator runs.
+  // --- Origins (see EventQueue's tie-break keys) ---------------------------
+  // Every key packs the node an event runs as with that node's own
+  // counter.  A popped event runs as the node that scheduled it; code that
+  // acts for a node from outside its events (delivery lanes, flow setup)
+  // names the node with set_origin().  Node ids map to origins id + 1, so
+  // kInvalidNode (UINT32_MAX) is the reserved setup/node-less origin.
 
-  /// (time, seq) key of the event currently executing — stamps receiver
-  /// stat journals and window allocation logs.
+  /// Subsequent draws are made for node `node` (kInvalidNode: node-less).
+  void set_origin(std::uint32_t node) { queue_.set_origin(node + 1); }
+  /// The node draws are currently made for (kInvalidNode: node-less).
+  std::uint32_t origin() const { return queue_.origin() - 1; }
+  /// Gives node `node` a key counter; Node's constructor calls this.
+  void reserve_origin(std::uint32_t node) { queue_.reserve_origin(node + 1); }
+  /// Shares `owner`'s counter table (every shard of a ShardGroup).
+  void share_key_counters(Simulator& owner) { queue_.share_counters(owner.queue_); }
+
+  /// (time, key) of the event currently executing — stamps receiver stat
+  /// journals and deferred flow finalizations.
   Time current_event_time() const { return queue_.current_event_time(); }
   std::uint64_t current_event_seq() const { return queue_.current_event_seq(); }
-
-  /// Setup-phase shared sequence counter (nullptr restores the private one).
-  void set_shared_seq(std::uint64_t* shared) { queue_.set_shared_seq(shared); }
-  /// Window-mode entry/exit; see EventQueue::begin_shard_window.
-  void begin_shard_window(std::vector<ShardSeqAlloc>* log) { queue_.begin_shard_window(log); }
-  void end_shard_window(const std::vector<std::uint64_t>& committed) {
-    queue_.end_shard_window(committed);
-  }
-
-  /// Registered components holding stamped-but-unfired sequences outside
-  /// the event queue (channel lane records, receiver stat journals, pending
-  /// flow finalizations) rewrite them here at every window barrier.
-  void add_seq_remap_hook(std::function<void(const SeqRemap&)> hook) {
-    remap_hooks_.push_back(std::move(hook));
-  }
-  void run_seq_remap_hooks(const SeqRemap& remap) {
-    for (auto& h : remap_hooks_) h(remap);
-  }
 
   /// Advances the clock to a window/slice boundary without running events
   /// (mirrors what run(until) does when the next event lies beyond it).
@@ -167,10 +145,13 @@ class Simulator {
     now_ = now;
     events_processed_ = events;
   }
-  /// Overwrites the current-event key (allocation parent) from a snapshot.
+  /// Overwrites the current-event key from a snapshot.
   void restore_current_event(Time t, std::uint64_t seq) { queue_.set_current_event(t, seq); }
-  std::uint64_t snapshot_next_seq() const { return queue_.snapshot_next_seq(); }
-  void restore_next_seq(std::uint64_t v) { queue_.restore_next_seq(v); }
+  /// Every origin's key counter (shared by a ShardGroup's simulators).
+  std::vector<std::uint64_t> key_counters() const { return queue_.key_counters(); }
+  bool restore_key_counters(const std::vector<std::uint64_t>& v) {
+    return queue_.restore_key_counters(v);
+  }
   /// Re-establishes the deadline heap's top-accuracy invariant after a
   /// batch of Timer::restore_arm() calls.
   void settle_deadline_top() { queue_.settle_deadline_top(); }
@@ -185,7 +166,23 @@ class Simulator {
   std::uint64_t events_processed_ = 0;
   bool stopped_ = false;
   CheckObserver* check_observer_ = nullptr;
-  std::vector<std::function<void(const SeqRemap&)>> remap_hooks_;
+};
+
+/// Draws made while it lives are made for `node`: setup code acting for a
+/// node outside that node's events (flow setup).  Restores the previous
+/// origin on exit.
+class OriginScope {
+ public:
+  OriginScope(Simulator& sim, std::uint32_t node) : sim_(sim), saved_(sim.origin()) {
+    sim.set_origin(node);
+  }
+  ~OriginScope() { sim_.set_origin(saved_); }
+  OriginScope(const OriginScope&) = delete;
+  OriginScope& operator=(const OriginScope&) = delete;
+
+ private:
+  Simulator& sim_;
+  std::uint32_t saved_;
 };
 
 /// A persistent, self-rescheduling event: the callback is registered once
@@ -193,8 +190,8 @@ class Simulator {
 /// slot churn, no callback reconstruction, no O(log n) cancel on the
 /// cancel+reschedule pattern.  Drop-in replacement for the high-frequency
 /// EventId timers (port serialization-done, NIC pacing wakeups, RetransQ
-/// PCIe drains, CC timers): arm() consumes one tie-break sequence exactly
-/// like schedule() did, so firing order is unchanged.
+/// PCIe drains, CC timers): arm() draws one tie-break key exactly like
+/// schedule() did, so firing order is unchanged.
 ///
 /// The owner must not outlive the Simulator (components already hold
 /// Simulator references, so destruction order is unchanged).  The callback

@@ -1,11 +1,17 @@
 #include "stats/telemetry.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dcp {
 
 FabricTelemetry::FabricTelemetry(Network& net, Time interval)
     : net_(net), interval_(interval) {
+  // Sampling runs on net.sim() (shard 0) and reads every switch: under
+  // sharding that would race the other shards' threads.
+  if (net.shard_group() != nullptr && net.shard_group()->sharded()) {
+    throw std::logic_error("FabricTelemetry: sharded networks are not supported");
+  }
   arm();
 }
 

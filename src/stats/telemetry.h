@@ -26,6 +26,7 @@ struct TelemetrySample {
 class FabricTelemetry {
  public:
   /// Starts sampling every `interval` until `stop()` or the sim drains.
+  /// Throws std::logic_error on a sharded network (see the constructor).
   FabricTelemetry(Network& net, Time interval = microseconds(10));
   ~FabricTelemetry();
   FabricTelemetry(const FabricTelemetry&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "check/observer.h"
 #include "sim/snapshot.h"
@@ -67,19 +68,11 @@ void Network::wire_host_hooks(Host* h) {
     pending_fin_[static_cast<std::size_t>(shard_of(h->id()))].push_back(std::move(p));
   };
   h->on_receiver_done = [this, h](FlowId id) {
-    FlowRecord& rec = record(id);
-    rec.rx_done = h->sim().now();  // h's shard executes this event
-    if (!shard_run_active_) {
-      // A listener may start follow-up flows (collectives), reallocating
-      // records_ — re-fetch the record per call rather than hold `rec`.
-      for (auto& fn : rx_listeners_) fn(record(id));
-      return;
-    }
-    if (!rx_listeners_.empty()) {
-      Simulator& hs = h->sim();
-      pending_rx_[static_cast<std::size_t>(shard_of(h->id()))].push_back(
-          PendingRx{id, hs.current_event_time(), hs.current_event_seq()});
-    }
+    record(id).rx_done = h->sim().now();  // h's shard executes this event
+    // A listener may start follow-up flows (collectives), reallocating
+    // records_ — re-fetch the record per call rather than hold a reference.
+    // Sharded runs have none (finalize_shards refuses them).
+    for (auto& fn : rx_listeners_) fn(record(id));
   };
 }
 
@@ -99,8 +92,14 @@ FlowId Network::start_flow(FlowSpec spec) {
   records_.push_back(rec);
 
   // Transports must live on their host's shard: their timers go into that
-  // shard's queue and their clock reads must see that shard's now().
-  dst->add_receiver(factory_->make_receiver(dst->sim(), *dst, spec, tcfg_));
+  // shard's queue and their clock reads must see that shard's now().  Each
+  // host's part is set up as that host, so any key it draws — the start
+  // event's above all — is its own, and the start runs as the source.
+  {
+    OriginScope as_dst(dst->sim(), dst->id());
+    dst->add_receiver(factory_->make_receiver(dst->sim(), *dst, spec, tcfg_));
+  }
+  OriginScope as_src(src->sim(), src->id());
   src->add_sender(factory_->make_sender(src->sim(), *src, spec, tcfg_));
 
   SenderTransport* snd = src->sender(spec.id);
@@ -124,7 +123,6 @@ void Network::finalize_flow(FlowId id) {
   ++completed_;
   // Callbacks may start follow-up flows (collectives), reallocating
   // records_ — re-fetch the record per call rather than hold `rec`.
-  if (on_flow_complete) on_flow_complete(record(id));
   for (auto& fn : tx_listeners_) fn(record(id));
 }
 
@@ -180,44 +178,23 @@ void Network::set_check_observer_all(CheckObserver* ob) {
 
 void Network::finalize_shards() {
   if (shards_finalized_) return;
+  if (!tx_listeners_.empty() || !rx_listeners_.empty()) {
+    throw std::logic_error("Network: tx/rx listeners are not supported in sharded runs");
+  }
   shards_finalized_ = true;
-  const int n = shards_->size();
-  pending_fin_.resize(static_cast<std::size_t>(n));
-  pending_rx_.resize(static_cast<std::size_t>(n));
-
-  // Window-provisional stamps held outside the event heaps: pending
-  // finalizations/rx notifications and receiver-stat journals.
-  for (int i = 0; i < n; ++i) {
-    shards_->sim(i).add_seq_remap_hook([this, i](const SeqRemap& remap) {
-      for (auto& p : pending_fin_[static_cast<std::size_t>(i)]) p.seq = remap(p.seq);
-      for (auto& p : pending_rx_[static_cast<std::size_t>(i)]) p.seq = remap(p.seq);
-    });
-  }
-  for (auto& h : hosts_) {
-    h->enable_stat_journal();
-    Host* hp = h.get();
-    hp->sim().add_seq_remap_hook(
-        [hp](const SeqRemap& remap) { hp->remap_stat_journal(remap); });
-  }
+  pending_fin_.resize(static_cast<std::size_t>(shards_->size()));
+  for (auto& h : hosts_) h->enable_stat_journal();
 
   // Classify every channel: a channel whose endpoints live on different
-  // shards becomes a mailbox edge (and contributes to the lookahead); a
-  // same-shard channel only needs its lane stamps committed at barriers.
+  // shards becomes a mailbox edge (and contributes to the lookahead).
   Time min_cut = kTimeInfinity;
   auto wire = [&](Channel& ch, int src_shard) {
     Node* peer = ch.peer();
-    if (peer == nullptr) {
-      ch.enable_shard_mode(nullptr);
-      return;
-    }
+    if (peer == nullptr) return;
     const int dst_shard = shard_of(peer->id());
-    if (dst_shard == src_shard) {
-      ch.enable_shard_mode(nullptr);
-      return;
-    }
-    ch.enable_shard_mode(&shards_->sim(dst_shard));
-    shards_->add_cross_drain(src_shard,
-                             [&ch](const SeqRemap& remap) { return ch.drain_cross(remap); });
+    if (dst_shard == src_shard) return;
+    ch.enable_shard_mode(shards_->sim(dst_shard));
+    shards_->add_cross_drain(src_shard, [&ch] { return ch.drain_cross(); });
     if (ch.propagation() < min_cut) min_cut = ch.propagation();
   };
   for (auto& h : hosts_) wire(h->nic().channel(), shard_of(h->id()));
@@ -241,50 +218,16 @@ void Network::finalize_flow_at(const PendingFinalize& p) {
   Host* dst = host_by_id_.at(rec.spec.dst);
   rec.receiver = dst->journal_stats_at(p.id, p.t, p.seq);
   ++completed_;
-  // Same re-fetch discipline as finalize_flow: callbacks can grow records_.
-  if (on_flow_complete) on_flow_complete(record(p.id));
-  for (auto& fn : tx_listeners_) fn(record(p.id));
 }
 
 void Network::commit_window_effects() {
-  // Gather the per-shard pending lists and apply them in committed
-  // (t, seq) order — the order the serial run would have fired them in.
-  // Listener order matters because listeners mutate ordered state
-  // (flow-id assignment in collectives, completion counters).  The window
-  // bound is uniform, so every effect recorded in the window is final.
-  std::vector<PendingFinalize> fins;
-  std::vector<PendingRx> rxs;
+  // Each finalize touches only its own flow's record, so the order across
+  // flows is immaterial; per flow, the sender's shard list is in execution
+  // order.  The window bound is uniform, so every receiver journal already
+  // holds each finalize key's entry.
   for (auto& v : pending_fin_) {
-    fins.insert(fins.end(), v.begin(), v.end());
+    for (const PendingFinalize& p : v) finalize_flow_at(p);
     v.clear();
-  }
-  for (auto& v : pending_rx_) {
-    rxs.insert(rxs.end(), v.begin(), v.end());
-    v.clear();
-  }
-  if (fins.empty() && rxs.empty()) return;
-  auto before = [](Time at, std::uint64_t as, Time bt, std::uint64_t bs) {
-    return at != bt ? at < bt : as < bs;
-  };
-  std::sort(fins.begin(), fins.end(), [&](const PendingFinalize& a, const PendingFinalize& b) {
-    return before(a.t, a.seq, b.t, b.seq);
-  });
-  std::sort(rxs.begin(), rxs.end(), [&](const PendingRx& a, const PendingRx& b) {
-    return before(a.t, a.seq, b.t, b.seq);
-  });
-  std::size_t fi = 0;
-  std::size_t ri = 0;
-  while (fi < fins.size() || ri < rxs.size()) {
-    const bool take_rx =
-        fi == fins.size() ||
-        (ri < rxs.size() && before(rxs[ri].t, rxs[ri].seq, fins[fi].t, fins[fi].seq));
-    if (take_rx) {
-      for (auto& fn : rx_listeners_) fn(record(rxs[ri].id));
-      ++ri;
-    } else {
-      finalize_flow_at(fins[fi]);
-      ++fi;
-    }
   }
   // Any finalize key still to come lies in a later window, so per flow
   // only the latest journal entry can ever be looked up again.
@@ -431,9 +374,6 @@ void Network::checkpoint(StateIO& io) {
   io.label(0x4E7733u);
   for (auto& v : pending_fin_) {
     if (!v.empty()) return io.fail("snapshot off-barrier: pending finalizations");
-  }
-  for (auto& v : pending_rx_) {
-    if (!v.empty()) return io.fail("snapshot off-barrier: pending rx notifications");
   }
   io.pod(completed_);
   io.pod(next_sport_);

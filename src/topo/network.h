@@ -78,13 +78,14 @@ class Network {
   const std::vector<FlowRecord>& records() const { return records_; }
   FlowRecord& record(FlowId id) { return records_[index_.at(id)]; }
 
-  /// Per-flow completion hook (fires when the sender finishes).
-  std::function<void(const FlowRecord&)> on_flow_complete;
-  /// Additional listeners (workloads chaining dependent flows).
+  /// Per-flow completion listeners (workloads chaining dependent flows),
+  /// fired when the sender finishes.  Serial runs only: a sharded run
+  /// refuses to start with any listener registered (see finalize_shards).
   void add_tx_listener(std::function<void(const FlowRecord&)> fn) {
     tx_listeners_.push_back(std::move(fn));
   }
   /// Fires when the receiver has every byte (before the final ACK lands).
+  /// Serial runs only, like add_tx_listener.
   void add_rx_listener(std::function<void(const FlowRecord&)> fn) {
     rx_listeners_.push_back(std::move(fn));
   }
@@ -135,8 +136,8 @@ class Network {
   /// sees, and the resumed digest would not match.
   Time run_to_paused(Time t, Time max_time);
   /// Restore prep on a freshly built target: flips shard-run mode on
-  /// (mailbox channels, journals, remap hooks) without running a window,
-  /// so cross-shard state can be overlaid.  No-op when serial.
+  /// (mailbox channels, journals) without running a window, so
+  /// cross-shard state can be overlaid.  No-op when serial.
   void prepare_shard_run();
   /// Restore prep: cancels the flow-start events of flows whose start time
   /// lies strictly before `t` — the saved run already executed them, and
@@ -165,20 +166,16 @@ class Network {
     std::uint64_t seq = 0;
     SenderStats sender;
   };
-  struct PendingRx {
-    FlowId id = 0;
-    Time t = 0;
-    std::uint64_t seq = 0;
-  };
 
   /// Lazily flips the network into sharded-run mode: locates cut channels,
-  /// computes the lookahead, arms journals and remap hooks.
+  /// computes the lookahead, arms journals.  Throws std::logic_error when
+  /// a tx/rx listener is registered: listeners mutate shared state from
+  /// the completing host's event, which a shard thread must not do.
   void finalize_shards();
   void run_to_sharded(Time t);
   Time run_to_paused_sharded(Time t, Time max_time);
-  /// Barrier step, after every window: finalize the window's pending flows
-  /// and fire its deferred rx listeners in committed (t, seq) order — the
-  /// serial run's order — then prune journals.
+  /// Barrier step, after every window: finalize the window's pending flows,
+  /// then prune journals.
   void commit_window_effects();
   void run_until_done_sharded(Time max_time);
   void finalize_flow_at(const PendingFinalize& p);
@@ -191,7 +188,6 @@ class Network {
   bool shards_finalized_ = false;
   bool shard_run_active_ = false;
   std::vector<std::vector<PendingFinalize>> pending_fin_;  // [shard], own thread only
-  std::vector<std::vector<PendingRx>> pending_rx_;         // [shard], own thread only
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::unordered_map<NodeId, Host*> host_by_id_;

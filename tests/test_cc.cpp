@@ -167,7 +167,9 @@ TEST(Timely, MakeCcBuildsIt) {
 
 TEST(TimelyIntegration, DcpWithTimelyCompletesAndThrottles) {
   // DCP + TIMELY end to end on an incast: flows finish and trims shrink
-  // versus no-CC (delay-based throttling works without ECN).
+  // versus no-CC (delay-based throttling works without ECN).  The trim
+  // threshold leaves room for a standing queue TIMELY can see: at 64 KB
+  // (~5 us at 100G) every RTT sample stays below its 30 us t_low.
   auto run = [](bool with_cc) {
     Simulator sim;
     Logger log{LogLevel::kOff};
@@ -176,7 +178,7 @@ TEST(TimelyIntegration, DcpWithTimelyCompletesAndThrottles) {
     opt.with_cc = with_cc;
     opt.cc_type = CcConfig::Type::kTimely;
     SchemeSetup s = make_scheme(SchemeKind::kDcp, opt);
-    s.sw.trim_threshold_bytes = 64 * 1024;
+    s.sw.trim_threshold_bytes = 256 * 1024;
     Star star = build_star(net, 7, s.sw);
     apply_scheme(net, s);
     for (int i = 0; i < 6; ++i) {

@@ -398,7 +398,7 @@ TEST(DeadlineTimer, ReArmFromOwnCallbackKeepsRunning) {
 
 TEST(DeadlineTimer, EqualTimeOrderAcrossHeapsFollowsAllocation) {
   // A main-heap event and a deadline entry at the same instant fire in
-  // sequence-allocation order — the global (t, seq) merge is heap-blind.
+  // key-draw order (one origin here) — the (t, seq) order is heap-blind.
   {
     Simulator sim;
     std::vector<char> order;

@@ -1,15 +1,18 @@
 // Space-parallel sharding mechanics: the ShardGroup window/barrier
-// coordinator, the shared setup sequence counter, provisional-sequence
-// commitment and the cross-shard channel mailbox.  End-to-end digest
-// equality against the serial path lives in test_shard_digest.cpp; this
-// file pins down the moving parts in isolation.
+// coordinator, per-origin tie-break keys, the cross-shard channel mailbox
+// and what a sharded network refuses.  End-to-end digest equality against
+// the serial path lives in test_shard_digest.cpp; this file pins down the
+// moving parts in isolation.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "check/observer.h"
+#include "harness/scheme.h"
 #include "net/channel.h"
 #include "net/node.h"
 #include "net/packet.h"
@@ -17,6 +20,8 @@
 #include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
+#include "topo/clos.h"
+#include "topo/network.h"
 
 namespace dcp {
 namespace {
@@ -77,15 +82,99 @@ TEST(ShardGroup, SizeOneIsThePlainSerialPath) {
   EXPECT_EQ(g.events_processed(), 2u);
 }
 
-TEST(ShardGroup, SetupSequencesComeFromOneSharedCounter) {
-  // Before any window runs, both shards must allocate from the same stream
-  // so topology construction is bit-identical to a serial build.
-  ShardGroup g(2);
-  const std::uint64_t a = g.sim(0).alloc_event_seq();
-  const std::uint64_t b = g.sim(1).alloc_event_seq();
-  const std::uint64_t c = g.sim(0).alloc_event_seq();
-  EXPECT_EQ(b, a + 1);
-  EXPECT_EQ(c, b + 1);
+/// Records the key of every event it runs: each arrival, and a follow-up
+/// one-shot the arrival schedules (a draw on this node's own counter).
+class KeyRecorder final : public Node {
+ public:
+  KeyRecorder(Simulator& sim, Logger& log, NodeId id) : Node(sim, log, id, "keys") {}
+  using Node::receive;
+  void receive(PacketPtr pkt, std::uint32_t in_port) override {
+    (void)pkt;
+    (void)in_port;
+    keys.push_back(sim_.current_event_seq());
+    sim_.schedule(nanoseconds(300), [this] { keys.push_back(sim_.current_event_seq()); });
+  }
+  std::vector<std::uint64_t> keys;
+};
+
+/// Two nodes exchanging same-instant packet trains over a 1 us link, on one
+/// simulator (n == 1) or on two shards with the link as a cut edge.
+/// Returns every event key each node ran, in execution order.
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>> exchange_keys(int n) {
+  ShardGroup g(n);
+  Logger log{LogLevel::kOff};
+  Simulator& sa = g.sim(0);
+  Simulator& sb = g.sim(n - 1);
+  KeyRecorder a(sa, log, 0);
+  KeyRecorder b(sb, log, 1);
+  Channel ab(sa, Bandwidth::gbps(100), microseconds(1));
+  Channel ba(sb, Bandwidth::gbps(100), microseconds(1));
+  ab.connect(&b, 0);
+  ba.connect(&a, 0);
+  if (n > 1) {
+    g.set_lookahead(microseconds(1));
+    ab.enable_shard_mode(sb);
+    ba.enable_shard_mode(sa);
+    g.add_cross_drain(0, [&ab] { return ab.drain_cross(); });
+    g.add_cross_drain(1, [&ba] { return ba.drain_cross(); });
+  }
+  // A node-less setup draw between the nodes' own, on each simulator.
+  sb.schedule_at(0, [] {});
+  for (int i = 0; i < 3; ++i) {
+    const Time at = i * nanoseconds(500);
+    {
+      OriginScope as_a(sa, a.id());
+      sa.schedule_at(at, [&ab] {
+        for (int k = 0; k < 2; ++k) ab.deliver(data_packet(64), 0);
+      });
+    }
+    OriginScope as_b(sb, b.id());
+    sb.schedule_at(at, [&ba] { ba.deliver(data_packet(64), 0); });
+  }
+  sa.schedule_at(0, [] {});
+  while (!g.idle()) g.run_window_adaptive(milliseconds(1));
+  return {a.keys, b.keys};
+}
+
+TEST(ShardGroup, NodeKeysEqualUnderOneAndTwoShards) {
+  // A key packs the node an event runs as with that node's own counter, so
+  // one node's keys are a function of its own execution history: the same
+  // whether its peer shares its simulator or runs on another shard.
+  const auto serial = exchange_keys(1);
+  const auto sharded = exchange_keys(2);
+  EXPECT_EQ(serial.first.size(), 6u);   // 3 arrivals + 3 follow-ups at a
+  EXPECT_EQ(serial.second.size(), 12u);  // 6 arrivals + 6 follow-ups at b
+  EXPECT_EQ(serial.first, sharded.first);
+  EXPECT_EQ(serial.second, sharded.second);
+}
+
+TEST(ShardGroup, ShardedNetworkRefusesFlowListeners) {
+  // Listeners mutate shared state from a completing host's event; a
+  // sharded run refuses them before its first window.
+  for (int which = 0; which < 2; ++which) {
+    ShardGroup g(2);
+    Logger log{LogLevel::kOff};
+    Network net(g, log);
+    ClosParams cp;
+    cp.spines = 1;
+    cp.leaves = 2;
+    cp.hosts_per_leaf = 1;
+    SchemeSetup setup = make_scheme(SchemeKind::kDcp);
+    cp.sw = setup.sw;
+    const ClosTopology topo = build_clos(net, cp);
+    apply_scheme(net, setup);
+    if (which == 0) {
+      net.add_tx_listener([](const FlowRecord&) {});
+    } else {
+      net.add_rx_listener([](const FlowRecord&) {});
+    }
+    FlowSpec spec;
+    spec.src = topo.hosts[0]->id();
+    spec.dst = topo.hosts[1]->id();
+    spec.bytes = 4096;
+    net.start_flow(spec);
+    EXPECT_THROW(net.run_until_done(milliseconds(1)), std::logic_error) << "listener " << which;
+  }
 }
 
 TEST(ShardGroup, WindowBoundIsInclusiveAndStrict) {
@@ -157,8 +246,8 @@ struct CrossFixture {
   CrossFixture() {
     g.set_lookahead(microseconds(1));
     ch.connect(&sink, 4);
-    ch.enable_shard_mode(&g.sim(1));
-    g.add_cross_drain(0, [this](const SeqRemap& remap) { return ch.drain_cross(remap); });
+    ch.enable_shard_mode(g.sim(1));
+    g.add_cross_drain(0, [this] { return ch.drain_cross(); });
   }
 };
 
@@ -205,6 +294,61 @@ TEST(ShardCross, SameInstantArrivalsKeepIssueOrder) {
   // One event per delivery on the destination shard — the same charge the
   // serial lane makes.
   EXPECT_EQ(f.g.sim(1).events_processed(), 4u);
+}
+
+/// Two sources, each sending a same-instant train to one sink: source 0
+/// over a 1 us link that is a cut edge when n == 2, source 1 over a local
+/// one.  Returns the psn order the sink saw.
+std::vector<std::uint32_t> two_source_arrivals(int n) {
+  ShardGroup g(n);
+  Logger log{LogLevel::kOff};
+  Simulator& s0 = g.sim(0);
+  Simulator& s1 = g.sim(n - 1);
+  SinkNode src0(s0, log, 1);
+  SinkNode src1(s1, log, 2);
+  SinkNode sink(s1, log, 3);
+  Channel c0(s0, Bandwidth::gbps(100), microseconds(1));
+  Channel c1(s1, Bandwidth::gbps(100), microseconds(1));
+  c0.connect(&sink, 0);
+  c1.connect(&sink, 1);
+  if (n > 1) {
+    g.set_lookahead(microseconds(1));
+    c0.enable_shard_mode(s1);
+    g.add_cross_drain(0, [&c0] { return c0.drain_cross(); });
+  }
+  {
+    OriginScope as_src0(s0, src0.id());
+    s0.schedule_at(0, [&c0] {
+      for (std::uint32_t i = 0; i < 4; ++i) c0.deliver(data_packet(64, i), 0);
+    });
+  }
+  {
+    OriginScope as_src1(s1, src1.id());
+    s1.schedule_at(0, [&c1] {
+      for (std::uint32_t i = 0; i < 4; ++i) c1.deliver(data_packet(64, 10 + i), 0);
+    });
+  }
+  while (!g.idle()) g.run_window_adaptive(milliseconds(1));
+  std::vector<std::uint32_t> psns;
+  for (const auto& a : sink.arrivals) {
+    EXPECT_EQ(a.t, microseconds(1));
+    psns.push_back(a.pkt.psn);
+  }
+  return psns;
+}
+
+TEST(ShardCross, SameInstantArrivalsFromTwoShardsTieLikeSerial) {
+  // All eight packets reach the sink at the same instant, half through the
+  // mailbox and half through a local lane: the keys, not the delivery
+  // path, break the ties, so the order is the serial run's — and each
+  // source's own train stays in issue order.
+  const std::vector<std::uint32_t> serial = two_source_arrivals(1);
+  ASSERT_EQ(serial.size(), 8u);
+  EXPECT_EQ(two_source_arrivals(2), serial);
+  std::vector<std::uint32_t> from0, from1;
+  for (std::uint32_t psn : serial) (psn < 10 ? from0 : from1).push_back(psn);
+  EXPECT_EQ(from0, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(from1, (std::vector<std::uint32_t>{10, 11, 12, 13}));
 }
 
 TEST(ShardCross, ArrivalsCountOneEventEachOnTheDestinationShard) {

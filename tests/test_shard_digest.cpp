@@ -2,7 +2,7 @@
 // FOR BIT identical to DCP_SHARDS=1 (which is exactly the serial code
 // path) across the fig-style experiment shapes — same goodputs, same
 // FCTs, same retransmit counts, and the same events_processed, since the
-// windowed execution merges to the very same event interleaving.
+// windowed execution reproduces the very same event interleaving.
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "harness/scheme.h"
+#include "sim/shard.h"
 #include "stats/telemetry.h"
+#include "topo/clos.h"
 #include "topo/dumbbell.h"
 
 namespace dcp {
@@ -21,6 +25,20 @@ struct Fixture {
     apply_scheme(net, s);
   }
 };
+
+TEST(Telemetry, RefusesShardedNetwork) {
+  // Sampling runs on shard 0 and reads every switch, which would race the
+  // other shards; a sharded network is refused up front.
+  ShardGroup g(2);
+  Logger log{LogLevel::kOff};
+  Network net(g, log);
+  ClosParams cp;
+  cp.spines = 1;
+  cp.leaves = 2;
+  cp.hosts_per_leaf = 1;
+  build_clos(net, cp);
+  EXPECT_THROW(FabricTelemetry(net, microseconds(10)), std::logic_error);
+}
 
 TEST(Telemetry, SamplesAtConfiguredInterval) {
   Fixture f;

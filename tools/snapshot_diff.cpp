@@ -185,8 +185,11 @@ int run(SchemeKind k, double t_us, double step_us, double end_us) {
                   iw.clocks[s].cur_seq, ic.clocks[s].now, ic.clocks[s].events,
                   ic.clocks[s].cur_time, ic.clocks[s].cur_seq);
     }
-    std::printf("  next_seq: warm %" PRIu64 " cold %" PRIu64 "\n", iw.next_seq,
-                ic.next_seq);
+    for (std::size_t o = 0; o < iw.key_counters.size() && o < ic.key_counters.size(); ++o) {
+      if (iw.key_counters[o] == ic.key_counters[o]) continue;
+      std::printf("  key counter of origin %zu: warm %" PRIu64 " cold %" PRIu64 "\n", o,
+                  iw.key_counters[o], ic.key_counters[o]);
+    }
     diff_images(iw, ic);
     return 2;
   }
