@@ -305,6 +305,7 @@ WebSearchResult run_websearch(const WebSearchParams& p) {
 
   WebSearchResult r;
   r.core = timer.finish();
+  r.key_counters = shards.sim(0).key_counters();
   faults.finish(r.fault_episodes, r.wire);
   for (const FlowRecord& rec : net.records()) {
     r.flows_total++;

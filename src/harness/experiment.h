@@ -110,6 +110,9 @@ struct WebSearchResult {
   std::vector<RecoveryStats::Episode> fault_episodes;
   FaultInjector::Counters wire;
   CorePerf core;
+  // Every origin's tie-break key counter after the run: keys are derived
+  // per node, so serial and sharded runs must end with the same table.
+  std::vector<std::uint64_t> key_counters;
 };
 
 WebSearchResult run_websearch(const WebSearchParams& p);

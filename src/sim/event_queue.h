@@ -20,10 +20,12 @@
 //       - dheap_ : DEADLINE-class timers (retransmission timeouts,
 //         keepalives) — re-armed far more often than they fire.  Pushing a
 //         deadline forward is O(1): the parked entry goes stale and the
-//         true deadline is stored beside the slot; stale entries are
-//         re-keyed (keeping their original sequence) or dropped only when
-//         they surface at this heap's top.
-//       - oheap_ : ONE-SHOT events (plain push(), far-future push_far()).
+//         true deadline is stored beside the slot; a stale entry is
+//         re-keyed, keeping its key, when it surfaces at this heap's top.
+//         Cancel removes the entry at once, so whether a re-arm draws a
+//         key never depends on when a stale entry happens to surface
+//         (which depends on other origins' entries).
+//       - oheap_ : ONE-SHOT events (push()).
 //         One-shots are fire-and-forget: they are never re-keyed and
 //         almost never cancelled, so this heap is NON-TRACKING — sifting
 //         moves 24-byte records without maintaining any position array
@@ -115,17 +117,6 @@ class EventQueue {
     return (static_cast<EventId>(gen_[idx]) << 32) | (idx + 1);
   }
 
-  /// push() for FAR events: one-shots expected to sit a long time before
-  /// firing (staggered flow starts, experiment-end probes).  One-shots all
-  /// live in the non-tracking heap, where a far entry sinks once and is
-  /// never compared against by near-term traffic sifting shallower than
-  /// it.  Firing order is identical to push() — the key is drawn here,
-  /// at call time.
-  template <typename F>
-  EventId push_far(Time t, F&& fn) {
-    return push_keyed(t, take_seq(), std::forward<F>(fn));
-  }
-
   /// Cancels a pending event.  For one-shots this is an O(1) lazy
   /// tombstone (the callback is destroyed now; the heap entry evaporates
   /// when it surfaces).  Cancelling an already-fired, already-cancelled,
@@ -199,13 +190,10 @@ class EventQueue {
   /// unless pushed further first.  Extending a pending deadline is O(1);
   /// use this for timers that are re-armed per-ACK but fire per-timeout.
   void timer_arm_deadline(std::uint32_t timer, Time t);
-  /// Removes the timer from the heap if pending; the callback is retained.
-  /// For deadline-class timers this is O(1) (the parked entry evaporates
-  /// when it surfaces).
+  /// Removes the timer's entry from its heap if pending, in O(log n); the
+  /// callback is retained.
   void timer_cancel(std::uint32_t timer);
-  bool timer_pending(std::uint32_t timer) const {
-    return pos_[timer] != kNoPos && (!in_dheap_[timer] || deadline_[timer] != kTimeInfinity);
-  }
+  bool timer_pending(std::uint32_t timer) const { return pos_[timer] != kNoPos; }
 
   /// Total event slots ever allocated (capacity, not live events) — lets
   /// tests assert the slab stops growing under steady-state churn.
@@ -225,12 +213,6 @@ class EventQueue {
                                       oheap_.capacity()) *
                sizeof(HeapEntry);
   }
-
-  /// High-water mark of the first-level heap — the figure the two-level
-  /// scheduler shrinks from O(packets in flight + flows) to O(active
-  /// links).  Deadline-class and one-shot entries are excluded: they park
-  /// in their own heaps precisely so timer events never sift across them.
-  std::size_t peak_heap_size() const { return peak_heap_; }
 
   // --- Origins (see the tie-break key helpers above) ------------------------
 
@@ -282,7 +264,6 @@ class EventQueue {
     TimerArm a;
     if (pos_[timer] == kNoPos) return a;
     if (in_dheap_[timer]) {
-      if (deadline_[timer] == kTimeInfinity) return a;  // lazily cancelled
       const HeapEntry& e = dheap_[pos_[timer]];
       a.kind = 2;
       a.t = e.t;
@@ -297,29 +278,12 @@ class EventQueue {
     return a;
   }
 
-  /// Physically removes a timer's pending entry from whichever heap holds
-  /// it.  Unlike timer_cancel this also evicts lazily-cancelled deadline
-  /// entries, so after unparking every timer the heaps hold exactly the
-  /// arms a snapshot records.
-  void timer_unpark(std::uint32_t timer) {
-    if (pos_[timer] != kNoPos) {
-      if (in_dheap_[timer]) {
-        remove_from_heap(dheap_, pos_[timer]);
-        settle_dtop();
-      } else {
-        remove_from_heap(heap_, pos_[timer]);
-      }
-      pos_[timer] = kNoPos;
-    }
-    in_dheap_[timer] = 0;
-    deadline_[timer] = kTimeInfinity;
-  }
-
   /// Re-arms a timer with an exact saved key — the restore-side counterpart
   /// of timer_arm_state().  Call settle_deadline_top() once after a restore
   /// batch to re-establish the deadline heap's top-accuracy invariant.
   void timer_restore(std::uint32_t timer, const TimerArm& a) {
-    timer_unpark(timer);
+    timer_cancel(timer);
+    in_dheap_[timer] = 0;
     if (a.kind == 0) return;
     if (a.kind == 1) {
       insert_main(HeapEntry{a.t, a.seq, timer});
@@ -411,7 +375,6 @@ class EventQueue {
   }
   void insert_main(const HeapEntry& e) {
     heap_.emplace_back();  // placeholder; sift_up writes the entry in place
-    if (heap_.size() > peak_heap_) peak_heap_ = heap_.size();
     sift_up(heap_, heap_.size() - 1, e);
   }
   void place(std::vector<HeapEntry>& h, std::size_t pos, const HeapEntry& e) {
@@ -449,9 +412,9 @@ class EventQueue {
   }
   void run_top(int which, Time& now);
   /// Restores the invariant "the deadline heap's top entry matches its
-  /// slot's true deadline": drops lazily-cancelled tops, re-keys lazily-
-  /// extended ones (their key only grows, so an in-place sift_down; the
-  /// entry keeps its original sequence, so re-keying never consumes one).
+  /// slot's true deadline": re-keys lazily-extended tops (their key only
+  /// grows, so an in-place sift_down; the entry keeps its original
+  /// sequence, so re-keying never consumes one).
   void settle_dtop();
 
   // --- Non-tracking one-shot heap helpers ----------------------------------
@@ -488,15 +451,17 @@ class EventQueue {
   std::uint32_t cur_origin_ = kSetupOrigin;
   Time cur_time_ = 0;
   std::uint64_t cur_seq_ = 0;  // key of the event currently executing
-  std::size_t peak_heap_ = 0;
   // Fused pop+re-arm: while a persistent timer's callback runs, its spent
-  // root entry stays parked at heap_[0] (its key is a strict minimum among
-  // main-heap entries, so nothing can sift past it).  If the callback
-  // re-arms the same slot — the self-rescheduling pattern of lane heads
-  // and port serialization timers, i.e. nearly every pop — the root is
-  // re-keyed in place with a single sift_down instead of a full remove +
-  // insert.  Otherwise the stale root is removed after the callback
-  // returns.
+  // root entry stays parked at heap_[0].  If the callback re-arms the same
+  // slot — the self-rescheduling pattern of lane heads and port
+  // serialization timers, i.e. nearly every pop — the root is re-keyed in
+  // place with a single sift_down instead of a full remove + insert.
+  // Otherwise the spent root is removed after the callback returns.  Keys
+  // drawn during the callback may be smaller than the spent root's (a
+  // same-instant arm for another origin), so sift_up never moves a
+  // main-heap entry into the root while one is deferred: the root is
+  // pinned, and the children below it stay a valid heap for the sift that
+  // replaces it.
   std::uint32_t deferred_root_ = kNoPos;
 };
 
@@ -553,7 +518,6 @@ inline void EventQueue::timer_arm_keyed(std::uint32_t timer, Time t, std::uint64
 }
 
 inline void EventQueue::timer_arm_deadline(std::uint32_t timer, Time t) {
-  deadline_[timer] = t;
   if (pos_[timer] != kNoPos) {
     if (!in_dheap_[timer]) {
       // Switching discipline mid-life (rare): vacate the first level.
@@ -561,33 +525,42 @@ inline void EventQueue::timer_arm_deadline(std::uint32_t timer, Time t) {
       pos_[timer] = kNoPos;
     } else {
       const std::size_t p = pos_[timer];
-      if (dheap_[p].t <= t) {
+      const bool later = deadline_[timer] <= t;
+      deadline_[timer] = t;
+      if (later) {
         // The common case — the deadline moves forward (per-ACK RTO
-        // pushes): O(1).  The parked entry goes stale; it is re-keyed
-        // only if it ever surfaces at the top.
+        // pushes): O(1), keeping the key.  The parked entry goes stale; it
+        // is re-keyed only if it ever surfaces at the top.
         if (p == 0 && dheap_[0].t < t) settle_dtop();
         return;
       }
-      // Deadline shrank below the parked entry: re-key eagerly (the new
-      // key is earlier, so an in-place sift_up).
-      sift_up(dheap_, p, HeapEntry{t, take_seq(), timer});
+      // Pulled before the pending deadline: a fresh key, re-keyed eagerly.
+      // The test is against the true deadline, never the parked entry, so
+      // whether this draws does not depend on whether a stale entry has
+      // surfaced yet (which depends on other origins' entries).
+      const HeapEntry e{t, take_seq(), timer};
+      if (earlier(e, dheap_[p])) {
+        sift_up(dheap_, p, e);
+      } else {
+        sift_down(dheap_, p, e);
+      }
+      settle_dtop();
       return;
     }
   }
+  deadline_[timer] = t;
   in_dheap_[timer] = 1;
   dheap_.emplace_back();
   sift_up(dheap_, dheap_.size() - 1, HeapEntry{t, take_seq(), timer});
 }
 
 inline void EventQueue::timer_cancel(std::uint32_t timer) {
-  if (pos_[timer] == kNoPos) {
-    deadline_[timer] = kTimeInfinity;
-    return;
-  }
+  deadline_[timer] = kTimeInfinity;
+  if (pos_[timer] == kNoPos) return;
   if (in_dheap_[timer]) {
-    // Lazy cancel: the parked entry evaporates when it surfaces.
-    deadline_[timer] = kTimeInfinity;
-    if (pos_[timer] == 0) settle_dtop();
+    remove_from_heap(dheap_, pos_[timer]);
+    pos_[timer] = kNoPos;
+    settle_dtop();  // the entry moved into the hole may be a stale one
     return;
   }
   remove_from_heap(heap_, pos_[timer]);
@@ -599,14 +572,6 @@ inline void EventQueue::settle_dtop() {
     HeapEntry top = dheap_[0];
     const Time dl = deadline_[top.slot];
     if (dl == top.t) return;  // accurate: this deadline is real
-    if (dl == kTimeInfinity) {
-      // Lazily cancelled: drop the entry.
-      const HeapEntry last = dheap_.back();
-      dheap_.pop_back();
-      pos_[top.slot] = kNoPos;
-      if (!dheap_.empty()) sift_root_to_bottom(dheap_, last);
-      continue;
-    }
     // Lazily extended: re-key at the true deadline (later, so sift down).
     // The entry keeps its original key — re-keying draws nothing, so a
     // node's key stream is independent of WHEN stale entries happen to
@@ -789,7 +754,10 @@ inline void EventQueue::remove_from_heap(std::vector<HeapEntry>& h, std::size_t 
 }
 
 inline void EventQueue::sift_up(std::vector<HeapEntry>& h, std::size_t pos, HeapEntry e) {
-  while (pos > 0) {
+  // Positions 1..4 are the root's children: while a spent main-heap root
+  // is deferred, nothing rises past them.
+  const std::size_t stop = deferred_root_ != kNoPos && &h == &heap_ ? 4 : 0;
+  while (pos > stop) {
     const std::size_t parent = (pos - 1) >> 2;
     const HeapEntry& p = h[parent];
     if (!earlier(e, p)) break;

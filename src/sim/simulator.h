@@ -44,14 +44,6 @@ class Simulator {
   EventId schedule_at(Time t, F&& fn) {
     return queue_.push(t < now_ ? now_ : t, std::forward<F>(fn));
   }
-  /// schedule_at() for one-shots that sit a long time before firing
-  /// (staggered flow starts): the entry parks in the deadline heap so hot
-  /// packet events never sift across it.  Same firing order as
-  /// schedule_at() — the tie-break sequence is allocated here.
-  template <typename F>
-  EventId schedule_at_far(Time t, F&& fn) {
-    return queue_.push_far(t < now_ ? now_ : t, std::forward<F>(fn));
-  }
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Runs until the queue drains or simulated time exceeds `until`.
@@ -100,10 +92,6 @@ class Simulator {
   /// Bytes held by the event queue's slabs and heaps (see
   /// EventQueue::arena_bytes) — one term of ShardGroup::arena_bytes().
   std::uint64_t event_arena_bytes() const { return queue_.arena_bytes(); }
-
-  /// High-water mark of the scheduling heap — O(active links + timers)
-  /// under the two-level scheduler vs O(packets in flight) without it.
-  std::size_t peak_heap_size() const { return queue_.peak_heap_size(); }
 
   /// The invariant-checking observer armed on this simulation, if any (see
   /// check/observer.h).  Components consult this at their hook sites; the
@@ -212,9 +200,11 @@ class Timer {
   /// the two-level scheduler's lane-head entry.
   void arm_keyed_abs(Time t, std::uint64_t seq) { sim_.queue_.timer_arm_keyed(slot_, t, seq); }
   /// (Re-)arms `delay` from now in the DEADLINE class: extending a pending
-  /// deadline is O(1) and the entry parks in the second-level heap.  Use
-  /// for timers re-armed per-ACK but firing per-timeout (RTO, keepalive,
-  /// stall checks), so packet events never sift across them.
+  /// deadline is O(1) and keeps its tie-break key, so per-ACK re-arms draw
+  /// nothing; an unarmed timer or an earlier deadline draws a fresh key.
+  /// The entry parks in the second-level heap, so packet events never
+  /// sift across it.  Use for timers re-armed per-ACK but firing
+  /// per-timeout (RTO, keepalive, stall checks).
   void arm_deadline(Time delay) { sim_.queue_.timer_arm_deadline(slot_, sim_.now() + delay); }
   void arm_deadline_at(Time t) {
     sim_.queue_.timer_arm_deadline(slot_, t < sim_.now() ? sim_.now() : t);

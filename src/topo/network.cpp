@@ -103,12 +103,10 @@ FlowId Network::start_flow(FlowSpec spec) {
   src->add_sender(factory_->make_sender(src->sim(), *src, spec, tcfg_));
 
   SenderTransport* snd = src->sender(spec.id);
-  // Far event: with staggered arrivals hundreds of starts sit pending for
-  // most of the run; parking them keeps the packet heap shallow.  The
-  // start runs on the source host's shard (== sim_ in serial builds).
+  // The start runs on the source host's shard (== sim_ in serial builds).
   // The id is kept so a snapshot restore can cancel starts the saved run
   // already executed (cancel_started_flows).
-  start_ev_.push_back(src->sim().schedule_at_far(spec.start_time, [snd] { snd->start(); }));
+  start_ev_.push_back(src->sim().schedule_at(spec.start_time, [snd] { snd->start(); }));
   return spec.id;
 }
 
@@ -177,11 +175,11 @@ void Network::set_check_observer_all(CheckObserver* ob) {
 }
 
 void Network::finalize_shards() {
-  if (shards_finalized_) return;
+  if (shard_run_active_) return;
   if (!tx_listeners_.empty() || !rx_listeners_.empty()) {
     throw std::logic_error("Network: tx/rx listeners are not supported in sharded runs");
   }
-  shards_finalized_ = true;
+  shard_run_active_ = true;
   pending_fin_.resize(static_cast<std::size_t>(shards_->size()));
   for (auto& h : hosts_) h->enable_stat_journal();
 
@@ -207,7 +205,6 @@ void Network::finalize_shards() {
   // partition with no cut at all runs plain slice-bounded windows.
   assert(min_cut == kTimeInfinity || min_cut > 0);
   shards_->set_lookahead(min_cut == kTimeInfinity ? milliseconds(1) : min_cut);
-  shard_run_active_ = true;
 }
 
 void Network::finalize_flow_at(const PendingFinalize& p) {

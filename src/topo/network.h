@@ -185,8 +185,7 @@ class Network {
   ShardGroup* shards_ = nullptr;
   int build_shard_ = 0;
   std::vector<int> shard_of_node_;
-  bool shards_finalized_ = false;
-  bool shard_run_active_ = false;
+  bool shard_run_active_ = false;  // set by finalize_shards: finalizes defer to barriers
   std::vector<std::vector<PendingFinalize>> pending_fin_;  // [shard], own thread only
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;

@@ -1,13 +1,16 @@
 // Channel delivery: the two-level scheduler (delivery lanes, deadline-
-// class timers, far events) and endpoint dispatch.  Mechanism tests pin
+// class timers, one-shots) and endpoint dispatch.  Mechanism tests pin
 // down lane FIFO order, same-time coalescing, lazy dooming on mid-flight
-// cuts, the deadline heap's lazy extend/cancel, and the {kind, ptr}
-// static dispatch with its virtual fallback for custom nodes.  End-to-end
-// behaviour is pinned by the golden-digest corpus (test_golden.cpp).
+// cuts, the deadline heap's lazy extend (key kept) and eager cancel, the
+// key-identity rules (a node's keys ignore other origins and survive a
+// snapshot), and the {kind, ptr} static dispatch with its virtual
+// fallback for custom nodes.  End-to-end behaviour is pinned by the
+// golden-digest corpus (test_golden.cpp).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "check/observer.h"
@@ -345,7 +348,7 @@ TEST(DeadlineTimer, LazyExtendFiresOnceAtLatestDeadline) {
   EXPECT_EQ(fired_at, microseconds(20));
 }
 
-TEST(DeadlineTimer, LazyCancelNeverFires) {
+TEST(DeadlineTimer, CancelRemovesTheEntryAtOnce) {
   Simulator sim;
   int fires = 0;
   Timer rto(sim, [&] { ++fires; });
@@ -353,6 +356,7 @@ TEST(DeadlineTimer, LazyCancelNeverFires) {
   EXPECT_TRUE(rto.pending());
   rto.cancel();
   EXPECT_FALSE(rto.pending());
+  EXPECT_TRUE(sim.idle());  // no stale entry left behind
   rto.cancel();  // double-cancel is harmless
   sim.run();
   EXPECT_EQ(fires, 0);
@@ -419,16 +423,79 @@ TEST(DeadlineTimer, EqualTimeOrderAcrossHeapsFollowsAllocation) {
   }
 }
 
+/// Arms node 1's deadline timer at 10us, cancels it and re-arms it at
+/// 20us; with `other_first`, node 2 first parks an earlier deadline in the
+/// same queue.  Returns node 1's key and its counter afterwards.
+std::pair<std::uint64_t, std::uint64_t> cancel_rearm_key(bool other_first) {
+  Simulator sim;
+  sim.reserve_origin(1);
+  sim.reserve_origin(2);
+  Timer other(sim, [] {});
+  Timer rto(sim, [] {});
+  if (other_first) {
+    sim.set_origin(2);
+    other.arm_deadline(microseconds(5));
+  }
+  sim.set_origin(1);
+  rto.arm_deadline(microseconds(10));
+  rto.cancel();
+  rto.arm_deadline(microseconds(20));
+  return {rto.arm_state().seq, sim.key_counters()[2]};  // origin = node + 1
+}
+
+TEST(DeadlineTimer, CancelReArmKeyIgnoresOtherOrigins) {
+  // A node's keys depend on its own history only: whether another node's
+  // deadline shares the queue must not decide if the re-arm draws a key.
+  const auto alone = cancel_rearm_key(false);
+  const auto shared = cancel_rearm_key(true);
+  EXPECT_EQ(alone.first, shared.first);
+  EXPECT_EQ(alone.second, shared.second);
+  EXPECT_EQ(shared.second, 2u);  // the re-arm after a cancel draws
+}
+
+TEST(DeadlineTimer, CancelReArmKeyRestoredMatchesUninterrupted) {
+  // Snapshot between the cancel and the re-arm: overlaying the saved arm
+  // states and counters onto a fresh queue must draw exactly like the
+  // queue that ran on.
+  Simulator a;
+  Timer a_other(a, [] {});
+  Timer a_rto(a, [] {});
+  a.reserve_origin(1);
+  a.reserve_origin(2);
+  a.set_origin(2);
+  a_other.arm_deadline(microseconds(5));
+  a.set_origin(1);
+  a_rto.arm_deadline(microseconds(10));
+  a_rto.cancel();
+
+  Simulator b;
+  b.reserve_origin(1);
+  b.reserve_origin(2);
+  Timer b_other(b, [] {});
+  Timer b_rto(b, [] {});
+  b_other.restore_arm(a_other.arm_state());
+  b_rto.restore_arm(a_rto.arm_state());
+  b.settle_deadline_top();
+  ASSERT_TRUE(b.restore_key_counters(a.key_counters()));
+  b.set_origin(1);
+
+  a_rto.arm_deadline(microseconds(20));
+  b_rto.arm_deadline(microseconds(20));
+  EXPECT_EQ(a_rto.arm_state().seq, b_rto.arm_state().seq);
+  EXPECT_EQ(a.key_counters(), b.key_counters());
+}
+
 // ---------------------------------------------------------------------------
-// Far events (one-shots parked in the deadline heap)
+// One-shots
 // ---------------------------------------------------------------------------
 
-TEST(FarEvents, InterleaveWithNearEventsInScheduleOrder) {
+TEST(OneShot, InterleaveWithTimersInKeyOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at_far(microseconds(20), [&] { order.push_back(2); });
+  Timer t(sim, [&] { order.push_back(2); });
+  t.arm_deadline(microseconds(20));
   sim.schedule_at(microseconds(10), [&] { order.push_back(1); });
-  sim.schedule_at_far(microseconds(30), [&] { order.push_back(4); });
+  sim.schedule_at(microseconds(30), [&] { order.push_back(4); });
   sim.schedule_at(microseconds(30), [&] { order.push_back(5); });  // later seq, same t
   sim.schedule_at(microseconds(25), [&] { order.push_back(3); });
   sim.run();
@@ -436,27 +503,31 @@ TEST(FarEvents, InterleaveWithNearEventsInScheduleOrder) {
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
-TEST(FarEvents, CancelRemovesExactlyOnce) {
+TEST(OneShot, CancelRemovesExactlyOnce) {
   Simulator sim;
   int fires = 0;
-  const EventId id = sim.schedule_at_far(microseconds(10), [&] { ++fires; });
-  const EventId keep = sim.schedule_at_far(microseconds(20), [&] { ++fires; });
+  const EventId id = sim.schedule_at(microseconds(10), [&] { ++fires; });
+  const EventId keep = sim.schedule_at(microseconds(20), [&] { ++fires; });
   sim.cancel(id);
+  EXPECT_EQ(sim.next_event_time(), microseconds(20));
   sim.cancel(id);  // stale handle: no-op
   sim.run();
   EXPECT_EQ(fires, 1);
   sim.cancel(keep);  // cancel-after-fire: no-op (generation stamped)
 }
 
-TEST(FarEvents, SlotRecyclesCleanlyIntoMainHeap) {
-  // A slot that held a far event must come back as an ordinary main-heap
-  // slot with no deadline-heap residue.
+TEST(OneShot, SlotsRecycleBetweenOneShotsAndTimers) {
+  // A slot that held a one-shot comes back as a timer slot (and the
+  // reverse) with no residue: every event fires exactly once.
   Simulator sim;
   int fires = 0;
   for (int round = 0; round < 100; ++round) {
-    sim.schedule_at_far(sim.now() + microseconds(1), [&] { ++fires; });
-    sim.schedule(microseconds(2), [&] { ++fires; });
-    sim.run();
+    sim.schedule_at(sim.now() + microseconds(1), [&] { ++fires; });
+    {
+      Timer t(sim, [&] { ++fires; });
+      t.arm_deadline(microseconds(2));
+      sim.run();
+    }
   }
   EXPECT_EQ(fires, 200);
   EXPECT_TRUE(sim.idle());

@@ -44,6 +44,7 @@ struct TrialDigest {
   bool completed = false;
   std::uint64_t retransmitted = 0;
   std::uint64_t events = 0;
+  std::vector<std::uint64_t> key_counters;  // per-origin, websearch only
 
   bool operator==(const TrialDigest&) const = default;
 };
@@ -111,12 +112,15 @@ std::vector<TrialDigest> websearch_matrix(int shards) {
     d.completed = r.flows_completed == r.flows_total;
     d.retransmitted = r.timeouts_background;
     d.events = r.core.events_processed;
+    d.key_counters = r.key_counters;
     out.push_back(d);
   }
   return out;
 }
 
 TEST(ShardDigest, WebsearchShardedBitIdenticalToSerial) {
+  // Beyond the digests, every node's final key counter must match: keys
+  // are a function of each node's own history.
   const std::vector<TrialDigest> serial = websearch_matrix(1);
   const std::vector<TrialDigest> sharded = websearch_matrix(2);
   ASSERT_EQ(serial.size(), sharded.size());

@@ -161,6 +161,47 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.next_time(), 2);
 }
 
+TEST(EventQueue, SameInstantLowerKeyArmedInTimerCallbackFiresOnce) {
+  // Timer T, armed by a busy origin, fires at t=10; its callback arms
+  // timer U for the same instant as a fresh origin, whose low counter
+  // gives U the smaller key.  T's spent root stays parked at the heap top
+  // while the callback runs, and U must not displace it: each fires
+  // exactly once, whether T then re-arms itself (the fused path) or not.
+  for (const bool rearm_self : {false, true}) {
+    EventQueue q;
+    q.reserve_origin(2);
+    int t_fires = 0;
+    int u_fires = 0;
+    std::vector<char> order;
+    const std::uint32_t u = q.timer_create([&] {
+      ++u_fires;
+      order.push_back('u');
+    });
+    std::uint32_t t = 0;
+    t = q.timer_create([&] {
+      ++t_fires;
+      order.push_back('t');
+      if (t_fires > 1) return;
+      q.set_origin(1);
+      q.timer_arm(u, 10);
+      if (rearm_self) q.timer_arm(t, 20);
+    });
+    q.set_origin(2);
+    for (int i = 0; i < 8; ++i) q.alloc_seq();  // origin 2 is busy
+    q.timer_arm(t, 10);
+    Time now = 0;
+    for (int pops = 0; pops < 8 && q.pop_and_run(now); ++pops) {
+    }
+    EXPECT_EQ(t_fires, rearm_self ? 2 : 1) << "rearm_self=" << rearm_self;
+    EXPECT_EQ(u_fires, 1) << "rearm_self=" << rearm_self;
+    EXPECT_EQ(order, rearm_self ? (std::vector<char>{'t', 'u', 't'})
+                                : (std::vector<char>{'t', 'u'}));
+    EXPECT_TRUE(q.empty());
+    q.timer_destroy(t);
+    q.timer_destroy(u);
+  }
+}
+
 TEST(Simulator, RunAdvancesTimeMonotonically) {
   Simulator sim;
   std::vector<Time> stamps;

@@ -102,16 +102,19 @@ FuzzScenario faulted_scenario(SchemeKind k) {
 
 WorldSpec spec_for(const FuzzScenario& s) { return fuzz_world_spec(s, FuzzOptions{}); }
 
-WorldDigest cold_digest(const WorldSpec& ws) {
+/// `counters`, when given, receives every origin's final key counter.
+WorldDigest cold_digest(const WorldSpec& ws, std::vector<std::uint64_t>* counters = nullptr) {
   SimWorld w(ws);
   w.run_until_done();
+  if (counters != nullptr) *counters = w.net().sim().key_counters();
   return w.digest();
 }
 
 /// Pauses a run at T, snapshots, restores into a FRESH world, finishes it,
 /// and returns the resumed digest.  Also asserts re-save byte-equality:
 /// saving the restored world again must reproduce the image exactly.
-WorldDigest resumed_digest(const WorldSpec& ws, Time t, const char* what) {
+WorldDigest resumed_digest(const WorldSpec& ws, Time t, const char* what,
+                           std::vector<std::uint64_t>* counters = nullptr) {
   SimWorld a(ws);
   a.run_to(t);
   SnapshotImage img;
@@ -129,6 +132,7 @@ WorldDigest resumed_digest(const WorldSpec& ws, Time t, const char* what) {
                               << " bytes)";
 
   b.run_until_done();
+  if (counters != nullptr) *counters = b.net().sim().key_counters();
   return b.digest();
 }
 
@@ -187,17 +191,20 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
 TEST(Snapshot, ResumeBitIdenticalAtOneAndFourShards) {
   // Fault-free scenario (fault plans force serial); leaves=4 admits 4
   // shards.  Each shard count must resume bit-identically to its own
-  // uninterrupted run.
+  // uninterrupted run, down to every node's final key counter.
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kIrn}) {
     const FuzzScenario s = clean_scenario(k);
     for (int shards : {1, 4}) {
       ScopedEnv e("DCP_SHARDS", std::to_string(shards));
       const WorldSpec ws = spec_for(s);
       const std::string what = std::string(scheme_name(k)) + " shards=" + std::to_string(shards);
-      const WorldDigest cold = cold_digest(ws);
-      const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str());
+      std::vector<std::uint64_t> cold_counters;
+      std::vector<std::uint64_t> warm_counters;
+      const WorldDigest cold = cold_digest(ws, &cold_counters);
+      const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str(), &warm_counters);
       EXPECT_EQ(cold.value, warm.value) << what;
       EXPECT_EQ(cold.events, warm.events) << what;
+      EXPECT_EQ(cold_counters, warm_counters) << what;
     }
   }
 }
